@@ -31,9 +31,10 @@ _PROB_ATOL = 1e-9  # degenerate-probability guard for corrupted states
 class RngStream:
     """Counter-based deterministic PRNG (Philox) with derivable substreams.
 
-    A stream is single-owner mutable; independent per-shot substreams come
-    from substream(index), which keys a fresh Philox generator on
-    (seed, index) so parallel shot execution is order-independent.
+    A stream is single-owner mutable. Monte Carlo estimation reads one
+    uniform_block whose row i holds the draws of shot i, so its results are a
+    function of (seed, shot index). substream(index) keys an independent
+    Philox generator on (seed, index); no estimator uses it.
     """
 
     algorithm = "philox"

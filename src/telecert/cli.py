@@ -6,7 +6,8 @@ keys as the long flags), which override the TELECERT_SEED environment
 variable for the seed. Output is deterministic for a fixed (config, seed):
 no timestamps, canonical JSON key order, full-precision floats.
 
-Exit codes: 0 success, 2 configuration error, 3 register capacity exceeded.
+Exit codes: 0 success, 2 configuration error, 3 register capacity exceeded
+or memory exhausted.
 """
 from __future__ import annotations
 
@@ -335,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         args = _merge_config(args, argv)
         return args.func(args)
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -19,6 +19,8 @@ import numpy as np
 
 from .channels import RngStream
 from .protocols import (
+    ANNOUNCING,
+    PROTOCOL_OPS,
     Announcement,
     Branch,
     InputFamily,
@@ -196,19 +198,6 @@ def bloch_average(protocol: ProtocolId, postselect: int | None = None,
 # ---------------------------------------------------------------------------
 # Monte Carlo estimation
 
-# announcement bits per protocol, in draw order: "meas" bits compare the
-# uniform draw against the conditional probability of outcome 0 (bit 0 when
-# u < p0); "g" bits are fair coins (bit 0 when u >= 1/2), mirroring the
-# sampled-trajectory conventions in channels/protocols.
-_BIT_KINDS = {
-    ProtocolId.P0: ("meas", "meas"),
-    ProtocolId.PA1: ("meas", "g"),
-    ProtocolId.PA2: ("g", "g"),
-    ProtocolId.PB: ("meas", "meas"),
-    ProtocolId.PAB: ("meas",),
-}
-
-
 def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: int,
                           seed: int, threads: int = 1) -> FidelityReport:
     """Shot-based estimate of f_th with its standard error.
@@ -227,13 +216,13 @@ def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: i
 
     branches = run_exact(protocol, params)
     target = build_target(params)
-    n_bits = len(_BIT_KINDS[protocol])
+    kinds = [op for op, *_ in PROTOCOL_OPS[protocol] if op in ANNOUNCING]
     fids = np.array([expectation(br.output, target.psi) if br.output is not None else 0.0
                      for br in branches])
     probs = np.array([br.probability for br in branches])
 
-    draws = RngStream(seed).uniform_block((shots, n_bits))
-    idx = _sample_branch_indices(protocol, probs, draws)
+    draws = RngStream(seed).uniform_block((shots, len(kinds)))
+    idx = _sample_branch_indices(kinds, probs, draws)
 
     if threads == 1:
         tally = np.bincount(idx, minlength=len(branches))
@@ -255,27 +244,26 @@ def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: i
                           shots=shots, stderr=stderr, seed=seed)
 
 
-def _sample_branch_indices(protocol: ProtocolId, probs: np.ndarray,
+def _sample_branch_indices(kinds: list[str], probs: np.ndarray,
                            draws: np.ndarray) -> np.ndarray:
-    """Vectorized announcement sampling; branch order matches run_exact."""
-    kinds = _BIT_KINDS[protocol]
-    if len(kinds) == 1:
-        p0 = probs[0]
-        bit_a = (draws[:, 0] >= p0).astype(np.intp)
-        return bit_a
-    # two-bit protocols: branches sorted as (a, b) = (0,0),(0,1),(1,0),(1,1)
-    p_a0 = probs[0] + probs[1]
-    if kinds[0] == "meas":
-        bit_a = (draws[:, 0] >= p_a0).astype(np.intp)
-    else:
-        bit_a = (draws[:, 0] < 0.5).astype(np.intp)
-    if kinds[1] == "meas":
-        with np.errstate(invalid="ignore"):
-            cond0 = np.array([
-                probs[0] / p_a0 if p_a0 > 0 else 0.5,
-                probs[2] / (probs[2] + probs[3]) if probs[2] + probs[3] > 0 else 0.5,
-            ])
-        bit_b = (draws[:, 1] >= cond0[bit_a]).astype(np.intp)
-    else:
-        bit_b = (draws[:, 1] < 0.5).astype(np.intp)
-    return 2 * bit_a + bit_b
+    """Vectorized announcement sampling; branch order matches run_exact.
+
+    kinds are the announcing ops of PROTOCOL_OPS in draw order; column j of
+    draws is the draw of bit j. The conventions are run_sampled's: a measured
+    bit is 1 when u >= P(0 | earlier bits), and a coin is 1 when u < 1/2.
+    Branch index i has the bits of i, first bit highest.
+    """
+    idx = np.zeros(1, dtype=np.intp)  # the empty prefix, broadcast over shots
+    for j, kind in enumerate(kinds):
+        if kind == "coin":
+            bit = draws[:, j] < 0.5
+        else:
+            # joint[i, x]: probability of earlier bits i followed by bit x
+            joint = probs.reshape(2**j, 2, -1).sum(axis=2)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                # the empty prefix has probability 1 by definition, not the float sum
+                prefix = joint.sum(axis=1) if j else np.ones(1)
+                cond0 = np.where(prefix > 0, joint[:, 0] / prefix, 0.5)
+            bit = draws[:, j] >= cond0[idx]
+        idx = 2 * idx + bit
+    return idx

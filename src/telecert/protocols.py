@@ -9,32 +9,33 @@ most significant label bit):
     m+1        B's half of the entangled pair
 
 Every protocol starts the same way: C rotates |0>^m into the target state on
-qubits 0..m-1 and D turns qubits (m, m+1) into the entangled pair. The five
-protocols then differ in what A and B do:
+qubits 0..m-1 and D turns qubits (m, m+1) into the entangled pair. What A and
+B do next is one row of PROTOCOL_OPS, a short tuple of ops:
 
-    P0   A applies the Bell rotation to (m-1, m), measures both (bits a, b);
-         B applies Z^a X^b to his qubit.  Honest teleportation.
-    PA1  A measures qubit m-1 directly (bit a), trashes qubit m and fakes b
-         with a random bit; B is honest.
-    PA2  A trashes both her qubits and fakes both bits; B is honest.
-    PB   A is honest as in P0; B trashes his qubit, regenerates |0>, and
-         applies X^a, ignoring b.
-    PAB  A applies the Bell rotation, measures qubit m-1 (the single
-         announced bit a) and trashes qubit m; B trashes his qubit,
-         regenerates |0>, and applies X^a.
+    bell         A applies the Bell rotation to (m-1, m)
+    measure(x)   A measures qubit m-1 and announces the outcome as bit x
+    trash(k)     A discards k qubits from m-1 on, leaving no record
+    coin(x)      A announces a fair random bit x instead of a measured one
+    correct      B applies Z^a X^b to his qubit
+    fake         B trashes his qubit, regenerates |0>, and applies X^a
 
-Measurements are destructive (the register shrinks), so each branch output is
-a density operator over exactly m qubits: C's ancillas followed by the qubit
-B delivers, in target-register order. Branch outputs are normalized; the
+Measurements are destructive (the register shrinks), so A always acts on
+qubit m-1 and B's qubit is always the last one. Each branch output is a
+density operator over exactly m qubits: C's ancillas followed by the qubit B
+delivers, in target-register order. Branch outputs are normalized; the
 sub-normalized operator is probability * output. B's trash-and-regenerate
 commutes with A's operations (disjoint registers), so executing it after A's
-steps, as done here, is equivalent to any interleaving; the test suite checks
-this against an independent simulation that orders B first.
+steps, as the table does, is equivalent to any interleaving; the test suite
+checks this against an independent simulation that orders B first.
 
-run_exact is pure; run_sampled mutates only its RngStream.
+One interpreter runs the table. run_exact keeps both outcomes of every
+measure and coin; run_sampled keeps the one drawn from its RngStream, one
+draw per announced bit in table order. run_exact is pure; run_sampled mutates
+only its RngStream.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,7 +43,6 @@ import numpy as np
 
 from . import gates
 from .channels import (
-    MeasurementOutcome,
     RngStream,
     measure_branches,
     measure_sample,
@@ -57,7 +57,6 @@ from .statevec import (
     REGISTER_CAP,
     apply_unitary,
     basis_state,
-    partial_trace,
     tensor,
     to_density,
 )
@@ -77,6 +76,24 @@ class ProtocolId(Enum):
         except ValueError:
             raise ValueError(f"unknown protocol {s!r}; expected one of "
                              f"{[p.value for p in cls]}") from None
+
+
+# The ops A and B run after C's preparation and D's gadget (see module docstring).
+PROTOCOL_OPS: dict[ProtocolId, tuple[tuple, ...]] = {
+    # honest teleportation
+    ProtocolId.P0: (("bell",), ("measure", "a"), ("measure", "b"), ("correct",)),
+    # A measures her share directly and fakes b; B is honest
+    ProtocolId.PA1: (("measure", "a"), ("trash", 1), ("coin", "b"), ("correct",)),
+    # A trashes both her qubits and fakes both bits; B is honest
+    ProtocolId.PA2: (("trash", 2), ("coin", "a"), ("coin", "b"), ("correct",)),
+    # A is honest; B ignores b and sends |a>
+    ProtocolId.PB: (("bell",), ("measure", "a"), ("measure", "b"), ("fake",)),
+    # A announces the single measured bit a; B sends |a>
+    ProtocolId.PAB: (("bell",), ("measure", "a"), ("trash", 1), ("fake",)),
+}
+
+# ops that announce a classical bit; each consumes one draw when sampled
+ANNOUNCING = ("measure", "coin")
 
 
 class InputFamily(Enum):
@@ -103,10 +120,19 @@ class ProtocolParams:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.m + 2 > REGISTER_CAP:
-            raise CapacityError(f"m + 2 = {self.m + 2} exceeds register cap {REGISTER_CAP}")
+        # every run returns m-qubit density operators, whose 4^m entries are as
+        # many as the amplitudes of a 2m-qubit state; this also bounds the
+        # m + 2 qubit register
+        if 2 * self.m > REGISTER_CAP:
+            raise CapacityError(f"m = {self.m}: an m-qubit density operator holds as many "
+                                f"entries as a {2 * self.m}-qubit state, beyond the register "
+                                f"cap {REGISTER_CAP}")
         if self.family is InputFamily.BLOCH and self.m != 1:
             raise ValueError("bloch family requires m = 1")
+        for name in ("theta", "phi"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -144,15 +170,19 @@ class TargetState:
 
 
 def build_target(params: ProtocolParams) -> TargetState:
-    """The m-qubit state C prepares and later compares against."""
-    m, th, ph = params.m, params.theta, params.phi
+    """The m-qubit state C prepares and later compares against.
+
+    GHZ and Bloch targets are cos(theta/2)|0..0> + e^(i phi) sin(theta/2)|1..1>
+    (phi = 0 for GHZ), the action of gates.ghz_rotation / gates.bloch_rotation
+    on |0..0>, written directly from their two amplitudes.
+    """
+    m = params.m
     if params.family is InputFamily.TRIVIAL:
         return TargetState(basis_state(m))
-    if params.family is InputFamily.GHZ:
-        psi = apply_unitary(basis_state(m), gates.ghz_rotation(m, th), list(range(m)))
-        return TargetState(psi)
-    psi = apply_unitary(basis_state(1), gates.bloch_rotation(th, ph), [0])
-    return TargetState(psi)
+    phase = np.exp(1j * params.phi) if params.family is InputFamily.BLOCH else 1.0
+    amps = np.zeros(2**m, dtype=complex)
+    amps[0], amps[-1] = np.cos(params.theta / 2), np.sin(params.theta / 2) * phase
+    return TargetState(PureState(m, amps))
 
 
 def _ebit() -> PureState:
@@ -188,25 +218,70 @@ def _pauli_power(z_pow: int, x_pow: int) -> np.ndarray:
     return mat
 
 
-def _correct_last_pure(psi: PureState, z_pow: int, x_pow: int) -> PureState:
-    return apply_unitary(psi, _pauli_power(z_pow, x_pow), [psi.num_qubits - 1])
+def _correct(state: PureState | DensityOperator, z_pow: int,
+             x_pow: int) -> PureState | DensityOperator:
+    """Z^z X^x on the last qubit of a pure state or a density operator."""
+    u, last = _pauli_power(z_pow, x_pow), [state.num_qubits - 1]
+    if isinstance(state, PureState):
+        return apply_unitary(state, u, last)
+    return _apply_u_rho(state, u, last)
 
 
-def _correct_last_rho(rho: DensityOperator, z_pow: int, x_pow: int) -> DensityOperator:
-    return _apply_u_rho(rho, _pauli_power(z_pow, x_pow), [rho.num_qubits - 1])
+def _apply(op: str, args: list, bits: dict[str, int], state, m: int):
+    """One op that announces nothing, on a branch state of nonzero probability."""
+    if op == "bell":
+        return apply_unitary(state, gates.entanglement_gadget_inverse(), [m - 1, m])
+    if op == "trash":
+        for _ in range(args[0]):
+            state = trash(state, m - 1)
+        return state
+    if op == "correct":
+        return _correct(state, bits["a"], bits["b"])
+    if op == "fake":
+        last = state.num_qubits - 1
+        return _correct(regenerate_zero(trash(state, last), last), 0, bits["a"])
+    raise ValueError(f"unknown op {op!r}")
 
 
-def _b_fakes_qubit(rho: DensityOperator, x_pow: int) -> DensityOperator:
-    """B's cheating tail: trash his share (last qubit), reset to |0>, apply X^a."""
-    k = rho.num_qubits
-    rho = trash(rho, k - 1)
-    rho = regenerate_zero(rho, k - 1)
-    return _correct_last_rho(rho, z_pow=0, x_pow=x_pow)
+def _outcomes(op: str, state, rng: RngStream | None, qubit: int) -> list[tuple]:
+    """(bit, conditional probability, post state) for each kept outcome of an announcing op."""
+    if op == "coin":
+        both = [(0, 0.5, state), (1, 0.5, state)]
+        return both if rng is None else [both[random_bit(rng)]]
+    if rng is not None:
+        outcomes = [measure_sample(state, qubit, rng)]
+    elif state is None:
+        return [(0, 0.0, None), (1, 0.0, None)]
+    else:
+        outcomes = measure_branches(state, qubit)
+    return [(o.bit, o.probability, o.post_state) for o in outcomes]
 
 
-def _bell_rotated(params: ProtocolParams) -> PureState:
+def _run(protocol: ProtocolId, params: ProtocolParams,
+         rng: RngStream | None = None) -> list[tuple[dict[str, int], float, object]]:
+    """Run PROTOCOL_OPS[protocol] over (bits, probability, state) branches.
+
+    state is None on a zero-probability branch and stays None below it.
+    """
     m = params.m
-    return apply_unitary(_prefix_state(params), gates.entanglement_gadget_inverse(), [m - 1, m])
+    branches = [({}, 1.0, _prefix_state(params))]
+    for op, *args in PROTOCOL_OPS[protocol]:
+        if op in ANNOUNCING:
+            branches = [({**bits, args[0]: bit}, p * q, post)
+                        for bits, p, state in branches
+                        for bit, q, post in _outcomes(op, state, rng, m - 1)]
+        else:
+            branches = [(bits, p, None if state is None else _apply(op, args, bits, state, m))
+                        for bits, p, state in branches]
+    return branches
+
+
+def _announcement(bits: dict[str, int]) -> Announcement:
+    return Announcement(bits["a"], bits.get("b"))
+
+
+def _output(state) -> DensityOperator | None:
+    return to_density(state) if isinstance(state, PureState) else state
 
 
 def run_exact(protocol: ProtocolId, params: ProtocolParams) -> list[Branch]:
@@ -216,105 +291,13 @@ def run_exact(protocol: ProtocolId, params: ProtocolParams) -> list[Branch]:
     1/2 each, so P0, PA1, PA2 and PB have four branches and PAB has two.
     Branches are sorted by announcement bits; probabilities sum to one.
     """
-    m = params.m
-    out: list[Branch] = []
-
-    if protocol is ProtocolId.P0:
-        state = _bell_rotated(params)
-        for oa in measure_branches(state, m - 1):
-            for ob in _measure_or_dead(oa.post_state, m - 1):
-                if ob.post_state is None:
-                    out.append(Branch(Announcement(oa.bit, ob.bit), 0.0, None))
-                    continue
-                corrected = _correct_last_pure(ob.post_state, z_pow=oa.bit, x_pow=ob.bit)
-                out.append(Branch(Announcement(oa.bit, ob.bit),
-                                  oa.probability * ob.probability, to_density(corrected)))
-
-    elif protocol is ProtocolId.PA1:
-        state = _prefix_state(params)
-        for oa in measure_branches(state, m - 1):
-            if oa.post_state is None:
-                out.extend(Branch(Announcement(oa.bit, b), 0.0, None) for b in (0, 1))
-                continue
-            rho = trash(oa.post_state, m - 1)
-            for b in (0, 1):
-                out.append(Branch(Announcement(oa.bit, b), oa.probability * 0.5,
-                                  _correct_last_rho(rho, z_pow=oa.bit, x_pow=b)))
-
-    elif protocol is ProtocolId.PA2:
-        rho = partial_trace(to_density(_prefix_state(params)), {m - 1, m})
-        for a in (0, 1):
-            for b in (0, 1):
-                out.append(Branch(Announcement(a, b), 0.25,
-                                  _correct_last_rho(rho, z_pow=a, x_pow=b)))
-
-    elif protocol is ProtocolId.PB:
-        state = _bell_rotated(params)
-        for oa in measure_branches(state, m - 1):
-            for ob in _measure_or_dead(oa.post_state, m - 1):
-                if ob.post_state is None:
-                    out.append(Branch(Announcement(oa.bit, ob.bit), 0.0, None))
-                    continue
-                rho = _b_fakes_qubit(to_density(ob.post_state), x_pow=oa.bit)
-                out.append(Branch(Announcement(oa.bit, ob.bit),
-                                  oa.probability * ob.probability, rho))
-
-    elif protocol is ProtocolId.PAB:
-        state = _bell_rotated(params)
-        for oa in measure_branches(state, m - 1):
-            if oa.post_state is None:
-                out.append(Branch(Announcement(oa.bit, None), 0.0, None))
-                continue
-            rho = trash(oa.post_state, m - 1)
-            rho = _b_fakes_qubit(rho, x_pow=oa.bit)
-            out.append(Branch(Announcement(oa.bit, None), oa.probability, rho))
-
-    else:
-        raise ValueError(f"unknown protocol {protocol}")
-
+    out = [Branch(_announcement(bits), p, _output(state))
+           for bits, p, state in _run(protocol, params)]
     return sorted(out, key=lambda br: br.announcement.key())
-
-
-def _measure_or_dead(post_state: PureState | None, qubit: int):
-    """Measurement branches, or two dead branches below a dead branch."""
-    if post_state is None:
-        return [MeasurementOutcome(0, 0.0, None), MeasurementOutcome(1, 0.0, None)]
-    return measure_branches(post_state, qubit)
 
 
 def run_sampled(protocol: ProtocolId, params: ProtocolParams,
                 rng: RngStream) -> tuple[Announcement, DensityOperator]:
     """One protocol trajectory; announcement bits are drawn in (a, b) order."""
-    m = params.m
-
-    if protocol is ProtocolId.P0:
-        state = _bell_rotated(params)
-        oa = measure_sample(state, m - 1, rng)
-        ob = measure_sample(oa.post_state, m - 1, rng)
-        corrected = _correct_last_pure(ob.post_state, z_pow=oa.bit, x_pow=ob.bit)
-        return Announcement(oa.bit, ob.bit), to_density(corrected)
-
-    if protocol is ProtocolId.PA1:
-        oa = measure_sample(_prefix_state(params), m - 1, rng)
-        rho = trash(oa.post_state, m - 1)
-        b = random_bit(rng)
-        return Announcement(oa.bit, b), _correct_last_rho(rho, z_pow=oa.bit, x_pow=b)
-
-    if protocol is ProtocolId.PA2:
-        a, b = random_bit(rng), random_bit(rng)
-        rho = partial_trace(to_density(_prefix_state(params)), {m - 1, m})
-        return Announcement(a, b), _correct_last_rho(rho, z_pow=a, x_pow=b)
-
-    if protocol is ProtocolId.PB:
-        state = _bell_rotated(params)
-        oa = measure_sample(state, m - 1, rng)
-        ob = measure_sample(oa.post_state, m - 1, rng)
-        return Announcement(oa.bit, ob.bit), _b_fakes_qubit(to_density(ob.post_state), x_pow=oa.bit)
-
-    if protocol is ProtocolId.PAB:
-        state = _bell_rotated(params)
-        oa = measure_sample(state, m - 1, rng)
-        rho = trash(oa.post_state, m - 1)
-        return Announcement(oa.bit, None), _b_fakes_qubit(rho, x_pow=oa.bit)
-
-    raise ValueError(f"unknown protocol {protocol}")
+    [(bits, _, state)] = _run(protocol, params, rng)
+    return _announcement(bits), _output(state)

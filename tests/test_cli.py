@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import telecert
 from telecert.cli import main
 
 
@@ -132,6 +137,58 @@ def test_byte_identical_output_and_json_roundtrip(capsys):
     assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == out1
 
 
+# Captured from an earlier build: a fixed seed must keep printing these bytes.
+PINNED_MONTE_CARLO_STDOUT = """\
+{
+  "f_th": 0.3480916020872137,
+  "f_th_definition": "sum over announcements of probability-weighted target overlap",
+  "family": "ghz",
+  "m": 2,
+  "mode": "monte_carlo",
+  "per_branch": [
+    {
+      "a": 0,
+      "b": 0,
+      "fidelity": 0.6574047222986963,
+      "probability": 0.24755
+    },
+    {
+      "a": 0,
+      "b": 1,
+      "fidelity": 0.6574047222986963,
+      "probability": 0.25485
+    },
+    {
+      "a": 1,
+      "b": 0,
+      "fidelity": 0.035794754028031894,
+      "probability": 0.2502
+    },
+    {
+      "a": 1,
+      "b": 1,
+      "fidelity": 0.035794754028031894,
+      "probability": 0.2474
+    }
+  ],
+  "phi": 0.0,
+  "protocol": "pb",
+  "seed": 7,
+  "shots": 20000,
+  "stderr": 0.0021977527456760004,
+  "theta": 0.9
+}
+"""
+
+
+def test_monte_carlo_stdout_pinned(capsys):
+    code, out, _ = run_cli(capsys, "run", "--protocol", "pb", "--m", "2", "--family", "ghz",
+                           "--theta", "0.9", "--mode", "monte_carlo", "--shots", "20000",
+                           "--seed", "7")
+    assert code == 0
+    assert out == PINNED_MONTE_CARLO_STDOUT
+
+
 def test_csv_roundtrip_idempotent(capsys):
     argv = ["sweep", "--protocol", "pab", "--m", "2", "--points", "7", "--format", "csv"]
     _, out, _ = run_cli(capsys, *argv)
@@ -171,6 +228,9 @@ def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "run", "--protocol", "p0", "--m", "30",
                            "--family", "ghz")
     assert code == 3 and "capacity" in err
+    code, _, err = run_cli(capsys, "run", "--protocol", "p0", "--m", "13",
+                           "--family", "ghz")
+    assert code == 3 and "capacity" in err
     code, _, err = run_cli(capsys, "run", "--protocol", "p0", "--mode", "monte_carlo")
     assert code == 2 and "seed" in err
     code, _, err = run_cli(capsys, "certify", "--model", "cheating_a")
@@ -178,6 +238,26 @@ def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "average", "--protocol", "pa1", "--m", "2",
                            "--quadrature", "gauss:1")
     assert code == 2
+    code, _, err = run_cli(capsys, "run", "--theta", "nan")
+    assert code == 2 and err == "error: theta must be finite, got nan\n"
+    code, _, err = run_cli(capsys, "run", "--phi", "inf")
+    assert code == 2 and err == "error: phi must be finite, got inf\n"
+
+
+def test_memory_exhaustion_exits_3():
+    # pa2 at m = 12 asks for a 4 GiB density operator of its 14-qubit register.
+    # The child caps its own address space at 1 GiB once telecert is
+    # imported, so the allocation fails at once instead of filling memory.
+    code = ("import resource, sys; "
+            "from telecert.cli import main; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "sys.exit(main(['run', '--protocol', 'pa2', '--m', '12', '--family', 'ghz']))")
+    env = dict(os.environ, PYTHONPATH=str(Path(telecert.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("capacity error: ") and proc.stderr.count("\n") == 1
 
 
 def test_missing_config_file(capsys):

@@ -166,7 +166,7 @@ def test_exact_run_matches_brute_force_oracle(protocol, m, family, theta, phi):
 def test_pa1_trash_equals_measure_and_discard():
     # replace A's trash by measure-and-forget on the same pre-measurement
     # state and rebuild the branch outputs; they must match exactly
-    from telecert.protocols import _prefix_state, _correct_last_rho
+    from telecert.protocols import _correct, _prefix_state
 
     params = ghz(2, 1.3)
     m = params.m
@@ -179,12 +179,10 @@ def test_pa1_trash_equals_measure_and_discard():
             if forgotten.post_state is not None:
                 discarded += forgotten.probability * to_density(forgotten.post_state).matrix
         for b in (0, 1):
-            rho = _correct_last_rho(
-                trash(oa.post_state, m - 1), z_pow=oa.bit, x_pow=b)
+            rho = _correct(trash(oa.post_state, m - 1), z_pow=oa.bit, x_pow=b)
             br = expected[(oa.bit, b)]
             np.testing.assert_allclose(rho.matrix, br.output.matrix, atol=1e-12)
-            corrected_discard = _correct_last_rho(
-                type(rho)(m, discarded), z_pow=oa.bit, x_pow=b)
+            corrected_discard = _correct(type(rho)(m, discarded), z_pow=oa.bit, x_pow=b)
             np.testing.assert_allclose(corrected_discard.matrix, br.output.matrix, atol=1e-12)
 
 
@@ -206,10 +204,32 @@ def test_run_sampled_deterministic_for_fixed_seed():
         np.testing.assert_allclose(r1.matrix, r2.matrix, atol=0)
 
 
+# 50 successive trajectories from RngStream(42) at ghz(2, 0.9), one digit per
+# announcement (2a + b, or a for PAB), and the draws they consumed. Pinned
+# from an earlier build: a fixed seed must keep giving the same trajectories.
+PINNED_TRAJECTORIES = {
+    ProtocolId.P0: ("01111133230010003212331223033331223032330330002121", 100),
+    ProtocolId.PA1: ("10000002121101112303000110120020110101001001111030", 100),
+    ProtocolId.PA2: ("32222200103323330121002110300002110301003003331212", 100),
+    ProtocolId.PB: ("01111133230010003212331223033331223032330330002121", 100),
+    ProtocolId.PAB: ("00010101010111111011000001000000111001101111011010", 50),
+}
+
+
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+def test_run_sampled_trajectories_pinned(protocol):
+    rng = RngStream(42)
+    digits = ""
+    for _ in range(50):
+        ann, _ = run_sampled(protocol, ghz(2, 0.9), rng)
+        digits += str(ann.a if ann.b is None else 2 * ann.a + ann.b)
+    assert (digits, rng.draws) == PINNED_TRAJECTORIES[protocol]
+
+
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
 def test_run_sampled_frequencies_match_exact(protocol):
-    # a single serial stream here; the 1e5-shot acceptance check exercises
-    # the per-shot substream path
+    # a single serial stream here; the 1e5-shot acceptance check runs Monte
+    # Carlo, which reads one Philox block whose row i is shot i
     params = ghz(2, 1.0)
     exact = {(br.announcement.a, br.announcement.b): br.probability
              for br in run_exact(protocol, params)}
