@@ -36,6 +36,8 @@ only its RngStream.
 from __future__ import annotations
 
 import math
+import os
+import resource
 from dataclasses import dataclass
 from enum import Enum
 
@@ -120,13 +122,8 @@ class ProtocolParams:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        # every run returns m-qubit density operators, whose 4^m entries are as
-        # many as the amplitudes of a 2m-qubit state; this also bounds the
-        # m + 2 qubit register
-        if 2 * self.m > REGISTER_CAP:
-            raise CapacityError(f"m = {self.m}: an m-qubit density operator holds as many "
-                                f"entries as a {2 * self.m}-qubit state, beyond the register "
-                                f"cap {REGISTER_CAP}")
+        if self.m + 2 > REGISTER_CAP:
+            raise CapacityError(f"m + 2 = {self.m + 2} exceeds register cap {REGISTER_CAP}")
         if self.family is InputFamily.BLOCH and self.m != 1:
             raise ValueError("bloch family requires m = 1")
         for name in ("theta", "phi"):
@@ -257,6 +254,23 @@ def _outcomes(op: str, state, rng: RngStream | None, qubit: int) -> list[tuple]:
     return [(o.bit, o.probability, o.post_state) for o in outcomes]
 
 
+def _require_output_fits(m: int) -> None:
+    """Refuse a run whose dense m-qubit output alone is larger than this process can hold.
+
+    No single allocation can exceed physical memory or the address-space
+    limit, so such a run could only end in MemoryError after simulating the
+    whole register; this says so before any work.
+    """
+    need = np.dtype(complex).itemsize * 4**m
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        limit = min(limit, soft)
+    if need > limit:
+        raise CapacityError(f"m = {m}: one output density needs {need / 2**30:.1f} GiB, "
+                            f"more than the {limit / 2**30:.1f} GiB this process can hold")
+
+
 def _run(protocol: ProtocolId, params: ProtocolParams,
          rng: RngStream | None = None) -> list[tuple[dict[str, int], float, object]]:
     """Run PROTOCOL_OPS[protocol] over (bits, probability, state) branches.
@@ -264,6 +278,7 @@ def _run(protocol: ProtocolId, params: ProtocolParams,
     state is None on a zero-probability branch and stays None below it.
     """
     m = params.m
+    _require_output_fits(m)
     branches = [({}, 1.0, _prefix_state(params))]
     for op, *args in PROTOCOL_OPS[protocol]:
         if op in ANNOUNCING:

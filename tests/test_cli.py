@@ -228,9 +228,9 @@ def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "run", "--protocol", "p0", "--m", "30",
                            "--family", "ghz")
     assert code == 3 and "capacity" in err
-    code, _, err = run_cli(capsys, "run", "--protocol", "p0", "--m", "13",
+    code, _, err = run_cli(capsys, "run", "--protocol", "p0", "--m", "20",
                            "--family", "ghz")
-    assert code == 3 and "capacity" in err
+    assert code == 3 and "m = 20: one output density needs 16384.0 GiB" in err
     code, _, err = run_cli(capsys, "run", "--protocol", "p0", "--mode", "monte_carlo")
     assert code == 2 and "seed" in err
     code, _, err = run_cli(capsys, "certify", "--model", "cheating_a")
@@ -245,14 +245,17 @@ def test_exit_codes(capsys):
 
 
 def test_memory_exhaustion_exits_3():
-    # pa2 at m = 12 asks for a 4 GiB density operator of its 14-qubit register.
-    # The child caps its own address space at 1 GiB once telecert is
-    # imported, so the allocation fails at once instead of filling memory.
+    # p0 at m = 12 returns four dense 12-qubit output densities, 1 GiB together.
+    # Each alone (256 MiB) fits the 512 MiB address cap the child sets on
+    # itself once telecert is imported, so the run starts and numpy raises
+    # MemoryError when it builds them. A representation that stops holding
+    # dense outputs must pick a different allocation here.
     code = ("import resource, sys; "
             "from telecert.cli import main; "
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-            "sys.exit(main(['run', '--protocol', 'pa2', '--m', '12', '--family', 'ghz']))")
-    env = dict(os.environ, PYTHONPATH=str(Path(telecert.__file__).parents[1]))
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29)); "
+            "sys.exit(main(['run', '--protocol', 'p0', '--m', '12', '--family', 'ghz']))")
+    env = dict(os.environ, PYTHONPATH=str(Path(telecert.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 3
