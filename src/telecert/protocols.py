@@ -17,16 +17,21 @@ B do next is one row of PROTOCOL_OPS, a short tuple of ops:
     trash(k)     A discards k qubits from m-1 on, leaving no record
     coin(x)      A announces a fair random bit x instead of a measured one
     correct      B applies Z^a X^b to his qubit
-    fake         B trashes his qubit, regenerates |0>, and applies X^a
+    fake         B splits off his qubit and sends |a> in its place
 
 Measurements are destructive (the register shrinks), so A always acts on
-qubit m-1 and B's qubit is always the last one. Each branch output is a
-density operator over exactly m qubits: C's ancillas followed by the qubit B
-delivers, in target-register order. Branch outputs are normalized; the
-sub-normalized operator is probability * output. B's trash-and-regenerate
-commutes with A's operations (disjoint registers), so executing it after A's
-steps, as the table does, is equivalent to any interleaving; the test suite
-checks this against an independent simulation that orders B first.
+qubit m-1 and B's qubit is always the last one. A branch travels as a list of
+unnormalized pure components whose outer products sum to its state: trashing
+a qubit splits every component into its two slices along that qubit (the
+Kraus picture of the partial trace), so only a trash or a fake adds
+components, and the table never measures after one. Each branch output is
+built once, as a density operator over exactly m qubits: C's ancillas
+followed by the qubit B delivers, in target-register order. Branch outputs
+are normalized; the sub-normalized operator is probability * output. B's
+fake commutes with A's operations (disjoint registers), so executing it
+after A's steps, as the table does, is equivalent to any interleaving; the
+test suite checks this against an independent simulation that orders B
+first.
 
 One interpreter runs the table. run_exact keeps both outcomes of every
 measure and coin; run_sampled keeps the one drawn from its RngStream, one
@@ -44,14 +49,7 @@ from enum import Enum
 import numpy as np
 
 from . import gates
-from .channels import (
-    RngStream,
-    measure_branches,
-    measure_sample,
-    random_bit,
-    regenerate_zero,
-    trash,
-)
+from .channels import RngStream, _project, measure_branches, measure_sample, random_bit
 from .statevec import (
     CapacityError,
     DensityOperator,
@@ -60,7 +58,6 @@ from .statevec import (
     apply_unitary,
     basis_state,
     tensor,
-    to_density,
 )
 
 
@@ -191,20 +188,6 @@ def _prefix_state(params: ProtocolParams) -> PureState:
     return tensor(build_target(params).psi, _ebit())
 
 
-def _apply_u_rho(rho: DensityOperator, u, targets: list[int]) -> DensityOperator:
-    mat = getattr(u, "entries", u)
-    n = rho.num_qubits
-    k = len(targets)
-    t = rho.matrix.reshape([2] * (2 * n))
-    ut = mat.reshape([2] * (2 * k))
-    t = np.tensordot(ut, t, axes=(list(range(k, 2 * k)), targets))
-    t = np.moveaxis(t, list(range(k)), targets)
-    cols = [n + q for q in targets]
-    t = np.tensordot(ut.conj(), t, axes=(list(range(k, 2 * k)), cols))
-    t = np.moveaxis(t, list(range(k)), cols)
-    return DensityOperator(n, t.reshape(2**n, 2**n))
-
-
 def _pauli_power(z_pow: int, x_pow: int) -> np.ndarray:
     """Z^z X^x as a single 2x2 matrix (X applied first)."""
     mat = np.eye(2, dtype=complex)
@@ -215,43 +198,47 @@ def _pauli_power(z_pow: int, x_pow: int) -> np.ndarray:
     return mat
 
 
-def _correct(state: PureState | DensityOperator, z_pow: int,
-             x_pow: int) -> PureState | DensityOperator:
-    """Z^z X^x on the last qubit of a pure state or a density operator."""
-    u, last = _pauli_power(z_pow, x_pow), [state.num_qubits - 1]
-    if isinstance(state, PureState):
-        return apply_unitary(state, u, last)
-    return _apply_u_rho(state, u, last)
+def _split(comps: list[PureState], qubit: int) -> list[PureState]:
+    """Components after trashing qubit: every 0-slice, then every 1-slice, unnormalized."""
+    n = comps[0].num_qubits - 1
+    slices = [_project(c, qubit) for c in comps]
+    return [PureState(n, s[bit]) for bit in (0, 1) for s in slices]
 
 
-def _apply(op: str, args: list, bits: dict[str, int], state, m: int):
-    """One op that announces nothing, on a branch state of nonzero probability."""
+def _apply(op: str, args: list, bits: dict[str, int], comps: list[PureState],
+           m: int) -> list[PureState]:
+    """One op that announces nothing, on the components of a live branch."""
     if op == "bell":
-        return apply_unitary(state, gates.entanglement_gadget_inverse(), [m - 1, m])
+        u = gates.entanglement_gadget_inverse()
+        return [apply_unitary(c, u, [m - 1, m]) for c in comps]
     if op == "trash":
         for _ in range(args[0]):
-            state = trash(state, m - 1)
-        return state
+            comps = _split(comps, m - 1)
+        return comps
     if op == "correct":
-        return _correct(state, bits["a"], bits["b"])
+        u = _pauli_power(bits["a"], bits["b"])
+        return [apply_unitary(c, u, [c.num_qubits - 1]) for c in comps]
     if op == "fake":
-        last = state.num_qubits - 1
-        return _correct(regenerate_zero(trash(state, last), last), 0, bits["a"])
+        sent = basis_state(1, bits["a"])
+        return [tensor(c, sent) for c in _split(comps, comps[0].num_qubits - 1)]
     raise ValueError(f"unknown op {op!r}")
 
 
-def _outcomes(op: str, state, rng: RngStream | None, qubit: int) -> list[tuple]:
-    """(bit, conditional probability, post state) for each kept outcome of an announcing op."""
+def _outcomes(op: str, comps: list[PureState] | None, rng: RngStream | None,
+              qubit: int) -> list[tuple]:
+    """(bit, conditional probability, post components) for each kept outcome of an announcing op."""
     if op == "coin":
-        both = [(0, 0.5, state), (1, 0.5, state)]
+        both = [(0, 0.5, comps), (1, 0.5, comps)]
         return both if rng is None else [both[random_bit(rng)]]
+    if comps is None:
+        return [(0, 0.0, None), (1, 0.0, None)]
+    [state] = comps  # no row measures after a trash
     if rng is not None:
         outcomes = [measure_sample(state, qubit, rng)]
-    elif state is None:
-        return [(0, 0.0, None), (1, 0.0, None)]
     else:
         outcomes = measure_branches(state, qubit)
-    return [(o.bit, o.probability, o.post_state) for o in outcomes]
+    return [(o.bit, o.probability, None if o.post_state is None else [o.post_state])
+            for o in outcomes]
 
 
 def _require_output_fits(m: int) -> None:
@@ -272,22 +259,22 @@ def _require_output_fits(m: int) -> None:
 
 
 def _run(protocol: ProtocolId, params: ProtocolParams,
-         rng: RngStream | None = None) -> list[tuple[dict[str, int], float, object]]:
-    """Run PROTOCOL_OPS[protocol] over (bits, probability, state) branches.
+         rng: RngStream | None = None) -> list[tuple[dict[str, int], float, list | None]]:
+    """Run PROTOCOL_OPS[protocol] over (bits, probability, components) branches.
 
-    state is None on a zero-probability branch and stays None below it.
+    components is None on a zero-probability branch and stays None below it.
     """
     m = params.m
     _require_output_fits(m)
-    branches = [({}, 1.0, _prefix_state(params))]
+    branches = [({}, 1.0, [_prefix_state(params)])]
     for op, *args in PROTOCOL_OPS[protocol]:
         if op in ANNOUNCING:
             branches = [({**bits, args[0]: bit}, p * q, post)
-                        for bits, p, state in branches
-                        for bit, q, post in _outcomes(op, state, rng, m - 1)]
+                        for bits, p, comps in branches
+                        for bit, q, post in _outcomes(op, comps, rng, m - 1)]
         else:
-            branches = [(bits, p, None if state is None else _apply(op, args, bits, state, m))
-                        for bits, p, state in branches]
+            branches = [(bits, p, None if comps is None else _apply(op, args, bits, comps, m))
+                        for bits, p, comps in branches]
     return branches
 
 
@@ -295,8 +282,19 @@ def _announcement(bits: dict[str, int]) -> Announcement:
     return Announcement(bits["a"], bits.get("b"))
 
 
-def _output(state) -> DensityOperator | None:
-    return to_density(state) if isinstance(state, PureState) else state
+def _density(comps: list[PureState]) -> np.ndarray:
+    """Sum of |c><c| over components, halves first: the order of successive partial traces."""
+    if len(comps) == 1:
+        v = comps[0].amplitudes
+        return np.outer(v, v.conj())
+    half = len(comps) // 2
+    rho = _density(comps[:half])
+    rho += _density(comps[half:])
+    return rho
+
+
+def _output(comps: list[PureState] | None) -> DensityOperator | None:
+    return None if comps is None else DensityOperator(comps[0].num_qubits, _density(comps))
 
 
 def run_exact(protocol: ProtocolId, params: ProtocolParams) -> list[Branch]:
@@ -306,13 +304,13 @@ def run_exact(protocol: ProtocolId, params: ProtocolParams) -> list[Branch]:
     1/2 each, so P0, PA1, PA2 and PB have four branches and PAB has two.
     Branches are sorted by announcement bits; probabilities sum to one.
     """
-    out = [Branch(_announcement(bits), p, _output(state))
-           for bits, p, state in _run(protocol, params)]
+    out = [Branch(_announcement(bits), p, _output(comps))
+           for bits, p, comps in _run(protocol, params)]
     return sorted(out, key=lambda br: br.announcement.key())
 
 
 def run_sampled(protocol: ProtocolId, params: ProtocolParams,
                 rng: RngStream) -> tuple[Announcement, DensityOperator]:
     """One protocol trajectory; announcement bits are drawn in (a, b) order."""
-    [(bits, _, state)] = _run(protocol, params, rng)
-    return _announcement(bits), _output(state)
+    [(bits, _, comps)] = _run(protocol, params, rng)
+    return _announcement(bits), _output(comps)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -244,23 +245,37 @@ def test_exit_codes(capsys):
     assert code == 2 and err == "error: phi must be finite, got inf\n"
 
 
-def test_memory_exhaustion_exits_3():
-    # p0 at m = 12 returns four dense 12-qubit output densities, 1 GiB together.
-    # Each alone (256 MiB) fits the 512 MiB address cap the child sets on
-    # itself once telecert is imported, so the run starts and numpy raises
-    # MemoryError when it builds them. A representation that stops holding
-    # dense outputs must pick a different allocation here.
+def _run_capped(*argv):
+    """The CLI in a child that caps its own address space at 512 MiB once telecert is imported."""
     code = ("import resource, sys; "
             "from telecert.cli import main; "
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29)); "
-            "sys.exit(main(['run', '--protocol', 'p0', '--m', '12', '--family', 'ghz']))")
+            "sys.exit(main(sys.argv[1:]))")
     env = dict(os.environ, PYTHONPATH=str(Path(telecert.__file__).parents[1]),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                           env=env, timeout=120)
+
+
+def test_memory_exhaustion_exits_3():
+    # p0 at m = 12 returns four dense 12-qubit output densities, 1 GiB together.
+    # Each alone (256 MiB) fits the 512 MiB address cap, so the run starts and
+    # numpy raises MemoryError when it builds them. A representation that stops
+    # holding dense outputs must pick a different allocation here.
+    proc = _run_capped("run", "--protocol", "p0", "--m", "12", "--family", "ghz")
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("capacity error: ") and proc.stderr.count("\n") == 1
+
+
+def test_pa2_runs_without_register_density():
+    # pa2 at m = 10 holds a 12-qubit pure state and four 16 MiB outputs; a
+    # 12-qubit density of the register (256 MiB) does not fit the 512 MiB cap.
+    proc = _run_capped("run", "--protocol", "pa2", "--m", "10", "--family", "ghz",
+                       "--theta", "1.0")
+    assert proc.returncode == 0 and proc.stderr == ""
+    f_th = json.loads(proc.stdout)["f_th"]
+    assert f_th == pytest.approx(0.5 - math.sin(1.0) ** 2 / 4, abs=1e-12)
 
 
 def test_missing_config_file(capsys):
