@@ -242,7 +242,7 @@ def cmd_enumerate(args) -> int:
             "a": br.announcement.a,
             "b": br.announcement.b,
             "probability": br.probability,
-            "output_trace": None if br.output is None else br.output.trace,
+            "output_trace": None if br.logical is None else br.logical.trace,
             "subnormalized_trace": br.probability,
         })
     payload = {

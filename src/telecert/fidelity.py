@@ -28,6 +28,7 @@ from .protocols import (
     ProtocolParams,
     TargetState,
     build_target,
+    logical_target,
     run_exact,
 )
 from .statevec import expectation
@@ -56,10 +57,13 @@ def threshold_fidelity(branches: list[Branch], target: TargetState,
                        protocol: ProtocolId | None = None,
                        params: ProtocolParams | None = None) -> FidelityReport:
     """Announcement-summed fidelity of an exact branch set against the target."""
-    per = []
-    for br in branches:
-        fid = expectation(br.output, target.psi) if br.output is not None else 0.0
-        per.append(BranchFidelity(br.announcement, br.probability, fid))
+    m = target.psi.num_qubits  # checked here: logical states cannot tell m = 3 from m = 4
+    if any(br.m != m for br in branches):
+        raise ValueError(f"dimension mismatch: branches are not at the target's m = {m}")
+    psi = logical_target(target)
+    per = [BranchFidelity(br.announcement, br.probability,
+                          expectation(br.logical, psi) if br.logical is not None else 0.0)
+           for br in branches]
     f_th = math.fsum(bf.probability * bf.fidelity for bf in per)
     if not -1e-12 <= f_th <= 1 + 1e-12:
         raise ValueError(f"threshold fidelity {f_th} outside [0, 1]")
@@ -176,13 +180,11 @@ def bloch_average(protocol: ProtocolId, postselect: int | None = None,
         for phi in phis:
             w = wi / phi_nodes_n
             params = ProtocolParams(m=1, family=InputFamily.BLOCH, theta=theta, phi=float(phi))
-            target = build_target(params)
-            branches = run_exact(protocol, params)
+            per_branch = exact_report(protocol, params).per_branch
             for a in (0, 1):
-                group = [br for br in branches if br.announcement.a == a]
-                p_tot = math.fsum(br.probability for br in group)
-                fid = math.fsum(br.probability * expectation(br.output, target.psi)
-                                for br in group if br.output is not None) / p_tot
+                group = [bf for bf in per_branch if bf.announcement.a == a]
+                p_tot = math.fsum(bf.probability for bf in group)
+                fid = math.fsum(bf.probability * bf.fidelity for bf in group) / p_tot
                 acc_p[a].append(w * group[0].probability)
                 acc_f[a].append(w * fid)
                 acc_f2[a].append(w * fid * fid)
@@ -214,32 +216,27 @@ def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: i
     if threads < 1:
         raise ValueError("threads must be >= 1")
 
-    branches = run_exact(protocol, params)
-    target = build_target(params)
+    per_branch = exact_report(protocol, params).per_branch
     kinds = [op for op, *_ in PROTOCOL_OPS[protocol] if op in ANNOUNCING]
-    fids = np.array([expectation(br.output, target.psi) if br.output is not None else 0.0
-                     for br in branches])
-    probs = np.array([br.probability for br in branches])
+    fids = np.array([bf.fidelity for bf in per_branch])
+    probs = np.array([bf.probability for bf in per_branch])
 
     draws = RngStream(seed).uniform_block((shots, len(kinds)))
     idx = _sample_branch_indices(kinds, probs, draws)
 
-    if threads == 1:
-        tally = np.bincount(idx, minlength=len(branches))
-    else:
-        bounds = np.linspace(0, shots, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(
-                lambda se: np.bincount(idx[se[0]:se[1]], minlength=len(branches)),
-                zip(bounds[:-1], bounds[1:])))
-        tally = np.sum(parts, axis=0)
+    def count(part):  # no np.bincount: it would copy idx to 8-byte integers
+        return np.array([np.count_nonzero(part == i) for i in range(len(per_branch))])
+    bounds = np.linspace(0, shots, threads + 1, dtype=int)
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        parts = list(ex.map(lambda se: count(idx[se[0]:se[1]]), zip(bounds[:-1], bounds[1:])))
+    tally = np.sum(parts, axis=0)
 
     estimate = math.fsum(int(c) * f for c, f in zip(tally, fids)) / shots
     var = math.fsum(int(c) * (f - estimate) ** 2 for c, f in zip(tally, fids)) / (shots - 1)
     stderr = math.sqrt(var / shots)
 
-    per = tuple(BranchFidelity(br.announcement, int(c) / shots, f)
-                for br, c, f in zip(branches, tally, fids))
+    per = tuple(BranchFidelity(bf.announcement, int(c) / shots, f)
+                for bf, c, f in zip(per_branch, tally, fids))
     return FidelityReport(protocol, params, estimate, per, mode="monte_carlo",
                           shots=shots, stderr=stderr, seed=seed)
 
@@ -251,9 +248,10 @@ def _sample_branch_indices(kinds: list[str], probs: np.ndarray,
     kinds are the announcing ops of PROTOCOL_OPS in draw order; column j of
     draws is the draw of bit j. The conventions are run_sampled's: a measured
     bit is 1 when u >= P(0 | earlier bits), and a coin is 1 when u < 1/2.
-    Branch index i has the bits of i, first bit highest.
+    Branch index i has the bits of i, first bit highest; it fits one byte,
+    as does every other per-shot array but draws.
     """
-    idx = np.zeros(1, dtype=np.intp)  # the empty prefix, broadcast over shots
+    idx = np.zeros(1, dtype=np.uint8)  # the empty prefix, broadcast over shots
     for j, kind in enumerate(kinds):
         if kind == "coin":
             bit = draws[:, j] < 0.5
@@ -264,6 +262,8 @@ def _sample_branch_indices(kinds: list[str], probs: np.ndarray,
                 # the empty prefix has probability 1 by definition, not the float sum
                 prefix = joint.sum(axis=1) if j else np.ones(1)
                 cond0 = np.where(prefix > 0, joint[:, 0] / prefix, 0.5)
-            bit = draws[:, j] >= cond0[idx]
+            bit = np.zeros(len(draws), dtype=bool)
+            for i, c in enumerate(cond0):  # one threshold per prefix, not a float per shot
+                bit |= (idx == i) & (draws[:, j] >= c)
         idx = 2 * idx + bit
     return idx

@@ -1,48 +1,44 @@
 """Agent-level semantics for the five teleportation protocols.
 
-Register layout for a run at share size m (m + 2 qubits total, index 0 is the
-most significant label bit):
+No agent touches C's m - 1 ancillas, and every target build_target writes
+has support only on |0..0> and |1..1>, so the ancillas act as one logical
+qubit. A run holds k = min(m, 2) share qubits plus D's pair, at most four:
 
-    0 .. m-2   ancillas prepared by the certifier C and kept by C
-    m-1        the share C hands to the sender A
-    m          A's half of the entangled pair supplied by D
-    m+1        B's half of the entangled pair
+    0 .. k-2   C's ancillas, |0..0> and |1..1> read as |0> and |1> (none if m = 1)
+    k-1        the share C hands to the sender A
+    k, k+1     A's and B's halves of the entangled pair supplied by D
 
-Every protocol starts the same way: C rotates |0>^m into the target state on
-qubits 0..m-1 and D turns qubits (m, m+1) into the entangled pair. What A and
-B do next is one row of PROTOCOL_OPS, a short tuple of ops:
+Every protocol starts the same way: C prepares the logical target on qubits
+0..k-1 and D turns qubits (k, k+1) into the entangled pair. What A and B do
+next is one row of PROTOCOL_OPS, a short tuple of ops:
 
-    bell         A applies the Bell rotation to (m-1, m)
-    measure(x)   A measures qubit m-1 and announces the outcome as bit x
-    trash(k)     A discards k qubits from m-1 on, leaving no record
+    bell         A applies the Bell rotation to (k-1, k)
+    measure(x)   A measures qubit k-1 and announces the outcome as bit x
+    trash(j)     A discards j qubits from k-1 on, leaving no record
     coin(x)      A announces a fair random bit x instead of a measured one
     correct      B applies Z^a X^b to his qubit
     fake         B splits off his qubit and sends |a> in its place
 
 Measurements are destructive (the register shrinks), so A always acts on
-qubit m-1 and B's qubit is always the last one. A branch travels as a list of
+qubit k-1 and B's qubit is always the last one. A branch travels as a list of
 unnormalized pure components whose outer products sum to its state: trashing
 a qubit splits every component into its two slices along that qubit (the
 Kraus picture of the partial trace), so only a trash or a fake adds
 components, and the table never measures after one. Each branch output is
-built once, as a density operator over exactly m qubits: C's ancillas
-followed by the qubit B delivers, in target-register order. Branch outputs
-are normalized; the sub-normalized operator is probability * output. B's
-fake commutes with A's operations (disjoint registers), so executing it
-after A's steps, as the table does, is equivalent to any interleaving; the
-test suite checks this against an independent simulation that orders B
-first.
+built once, over C's logical ancilla and the qubit B delivers; Branch.output
+lifts it to m qubits when read. Outputs are normalized; the sub-normalized
+operator is probability * output. B's fake commutes with A's operations
+(disjoint registers), so running it after A's, as the table does, is
+equivalent to any interleaving (the test suite checks this against an
+independent simulation that orders B first).
 
 One interpreter runs the table. run_exact keeps both outcomes of every
-measure and coin; run_sampled keeps the one drawn from its RngStream, one
-draw per announced bit in table order. run_exact is pure; run_sampled mutates
-only its RngStream.
+measure and coin and is pure; run_sampled keeps the one drawn from its
+RngStream, one draw per announced bit in table order, and mutates only that.
 """
 from __future__ import annotations
 
 import math
-import os
-import resource
 from dataclasses import dataclass
 from enum import Enum
 
@@ -142,20 +138,25 @@ class Announcement:
 
 @dataclass(frozen=True)
 class Branch:
-    """One announcement outcome of an exact run.
+    """One announcement outcome of an exact run at share size m.
 
-    output is normalized (unit trace); None flags a zero-probability branch.
-    The sub-normalized operator of the announcement equals probability * output.
+    logical is the normalized output on C's logical ancilla and B's qubit (None
+    on a zero-probability branch); output lifts it to m qubits when read.
     """
 
     announcement: Announcement
     probability: float
-    output: DensityOperator | None
+    logical: DensityOperator | None
+    m: int
+
+    @property
+    def output(self) -> DensityOperator | None:
+        return _lift(self.logical, self.m)
 
     def sub_normalized(self) -> DensityOperator:
-        if self.output is None:
+        if self.logical is None:
             raise ValueError("zero-probability branch has no output state")
-        return DensityOperator(self.output.num_qubits, self.probability * self.output.matrix)
+        return DensityOperator(self.m, self.probability * self.output.matrix)
 
 
 @dataclass(frozen=True)
@@ -179,13 +180,33 @@ def build_target(params: ProtocolParams) -> TargetState:
     return TargetState(PureState(m, amps))
 
 
-def _ebit() -> PureState:
-    return apply_unitary(basis_state(2), gates.entanglement_gadget(), [0, 1])
+def _support(m: int) -> list[int]:
+    """Indices of |0..0 x> and |1..1 x> among m-qubit labels, in order."""
+    return sorted({0, 1, 2**m - 2, 2**m - 1})
+
+
+def logical_target(target: TargetState) -> PureState:
+    """The target on k = min(m, 2) qubits; raises if it has weight off |0..0 x>, |1..1 x>."""
+    m = target.psi.num_qubits
+    psi = target.psi if m <= 2 else PureState(2, target.psi.amplitudes[_support(m)])
+    psi.require_normalized()
+    return psi
+
+
+def _lift(rho: DensityOperator | None, m: int) -> DensityOperator | None:
+    """A logical output as the m-qubit density it stands for; the identity when k == m."""
+    if rho is None or rho.num_qubits == m:
+        return rho
+    idx = _support(m)
+    full = np.zeros((2**m, 2**m), dtype=complex)
+    full[np.ix_(idx, idx)] = rho.matrix
+    return DensityOperator(m, full)
 
 
 def _prefix_state(params: ProtocolParams) -> PureState:
-    """State after C's rotation and D's entangling gadget."""
-    return tensor(build_target(params).psi, _ebit())
+    """Logical state after C's rotation and D's entangling gadget, k + 2 qubits."""
+    ebit = apply_unitary(basis_state(2), gates.entanglement_gadget(), [0, 1])
+    return tensor(logical_target(build_target(params)), ebit)
 
 
 def _pauli_power(z_pow: int, x_pow: int) -> np.ndarray:
@@ -206,14 +227,14 @@ def _split(comps: list[PureState], qubit: int) -> list[PureState]:
 
 
 def _apply(op: str, args: list, bits: dict[str, int], comps: list[PureState],
-           m: int) -> list[PureState]:
+           k: int) -> list[PureState]:
     """One op that announces nothing, on the components of a live branch."""
     if op == "bell":
         u = gates.entanglement_gadget_inverse()
-        return [apply_unitary(c, u, [m - 1, m]) for c in comps]
+        return [apply_unitary(c, u, [k - 1, k]) for c in comps]
     if op == "trash":
         for _ in range(args[0]):
-            comps = _split(comps, m - 1)
+            comps = _split(comps, k - 1)
         return comps
     if op == "correct":
         u = _pauli_power(bits["a"], bits["b"])
@@ -233,29 +254,9 @@ def _outcomes(op: str, comps: list[PureState] | None, rng: RngStream | None,
     if comps is None:
         return [(0, 0.0, None), (1, 0.0, None)]
     [state] = comps  # no row measures after a trash
-    if rng is not None:
-        outcomes = [measure_sample(state, qubit, rng)]
-    else:
-        outcomes = measure_branches(state, qubit)
+    kept = measure_branches(state, qubit) if rng is None else [measure_sample(state, qubit, rng)]
     return [(o.bit, o.probability, None if o.post_state is None else [o.post_state])
-            for o in outcomes]
-
-
-def _require_output_fits(m: int) -> None:
-    """Refuse a run whose dense m-qubit output alone is larger than this process can hold.
-
-    No single allocation can exceed physical memory or the address-space
-    limit, so such a run could only end in MemoryError after simulating the
-    whole register; this says so before any work.
-    """
-    need = np.dtype(complex).itemsize * 4**m
-    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
-    if soft != resource.RLIM_INFINITY:
-        limit = min(limit, soft)
-    if need > limit:
-        raise CapacityError(f"m = {m}: one output density needs {need / 2**30:.1f} GiB, "
-                            f"more than the {limit / 2**30:.1f} GiB this process can hold")
+            for o in kept]
 
 
 def _run(protocol: ProtocolId, params: ProtocolParams,
@@ -264,16 +265,15 @@ def _run(protocol: ProtocolId, params: ProtocolParams,
 
     components is None on a zero-probability branch and stays None below it.
     """
-    m = params.m
-    _require_output_fits(m)
+    k = min(params.m, 2)
     branches = [({}, 1.0, [_prefix_state(params)])]
     for op, *args in PROTOCOL_OPS[protocol]:
         if op in ANNOUNCING:
             branches = [({**bits, args[0]: bit}, p * q, post)
                         for bits, p, comps in branches
-                        for bit, q, post in _outcomes(op, comps, rng, m - 1)]
+                        for bit, q, post in _outcomes(op, comps, rng, k - 1)]
         else:
-            branches = [(bits, p, None if comps is None else _apply(op, args, bits, comps, m))
+            branches = [(bits, p, None if comps is None else _apply(op, args, bits, comps, k))
                         for bits, p, comps in branches]
     return branches
 
@@ -304,7 +304,7 @@ def run_exact(protocol: ProtocolId, params: ProtocolParams) -> list[Branch]:
     1/2 each, so P0, PA1, PA2 and PB have four branches and PAB has two.
     Branches are sorted by announcement bits; probabilities sum to one.
     """
-    out = [Branch(_announcement(bits), p, _output(comps))
+    out = [Branch(_announcement(bits), p, _output(comps), params.m)
            for bits, p, comps in _run(protocol, params)]
     return sorted(out, key=lambda br: br.announcement.key())
 
@@ -313,4 +313,4 @@ def run_sampled(protocol: ProtocolId, params: ProtocolParams,
                 rng: RngStream) -> tuple[Announcement, DensityOperator]:
     """One protocol trajectory; announcement bits are drawn in (a, b) order."""
     [(bits, _, comps)] = _run(protocol, params, rng)
-    return _announcement(bits), _output(comps)
+    return _announcement(bits), _lift(_output(comps), params.m)

@@ -229,9 +229,12 @@ def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "run", "--protocol", "p0", "--m", "30",
                            "--family", "ghz")
     assert code == 3 and "capacity" in err
-    code, _, err = run_cli(capsys, "run", "--protocol", "p0", "--m", "20",
+    code, out, _ = run_cli(capsys, "run", "--protocol", "p0", "--m", "20",
                            "--family", "ghz")
-    assert code == 3 and "m = 20: one output density needs 16384.0 GiB" in err
+    assert code == 0 and json.loads(out)["f_th"] == pytest.approx(1.0, abs=1e-12)
+    code, _, err = run_cli(capsys, "run", "--protocol", "p0", "--m", "23",
+                           "--family", "ghz")
+    assert code == 3 and "exceeds register cap 24" in err
     code, _, err = run_cli(capsys, "run", "--protocol", "p0", "--mode", "monte_carlo")
     assert code == 2 and "seed" in err
     code, _, err = run_cli(capsys, "certify", "--model", "cheating_a")
@@ -258,20 +261,22 @@ def _run_capped(*argv):
 
 
 def test_memory_exhaustion_exits_3():
-    # p0 at m = 12 returns four dense 12-qubit output densities, 1 GiB together.
-    # Each alone (256 MiB) fits the 512 MiB address cap, so the run starts and
-    # numpy raises MemoryError when it builds them. A representation that stops
-    # holding dense outputs must pick a different allocation here.
-    proc = _run_capped("run", "--protocol", "p0", "--m", "12", "--family", "ghz")
+    # Monte Carlo holds one Philox block of shots x 2 draws: 1e8 shots ask for
+    # 1.49 GiB, which the 512 MiB address cap refuses with a MemoryError.
+    proc = _run_capped("run", "--protocol", "pb", "--m", "2", "--family", "ghz",
+                       "--theta", "0.7", "--mode", "monte_carlo", "--shots", "100000000",
+                       "--seed", "1")
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("capacity error: ") and proc.stderr.count("\n") == 1
 
 
-def test_pa2_runs_without_register_density():
-    # pa2 at m = 10 holds a 12-qubit pure state and four 16 MiB outputs; a
-    # 12-qubit density of the register (256 MiB) does not fit the 512 MiB cap.
-    proc = _run_capped("run", "--protocol", "pa2", "--m", "10", "--family", "ghz",
+@pytest.mark.parametrize("m", [10, 22])
+def test_pa2_runs_without_register_density(m):
+    # A run holds C's ancillas as one logical qubit, so its register is four
+    # qubits at any m; a density of the whole register (256 MiB at m = 10) or
+    # a dense output at m = 22 (256 TiB) would not fit the 512 MiB cap.
+    proc = _run_capped("run", "--protocol", "pa2", "--m", str(m), "--family", "ghz",
                        "--theta", "1.0")
     assert proc.returncode == 0 and proc.stderr == ""
     f_th = json.loads(proc.stdout)["f_th"]

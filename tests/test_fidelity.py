@@ -49,6 +49,10 @@ def test_threshold_fidelity_dimension_mismatch():
     wrong_target = build_target(ghz(3, 0.5))
     with pytest.raises(ValueError):
         threshold_fidelity(branches, wrong_target)
+    # both logical targets are normalized here; only the m check tells them apart
+    branches = run_exact(ProtocolId.P0, ghz(3, 0.0))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        threshold_fidelity(branches, build_target(ghz(4, 0.0)))
 
 
 def test_theta_sweep_examples():

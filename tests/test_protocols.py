@@ -142,6 +142,8 @@ def test_pa1_zero_probability_branch_flagged():
     (2, "ghz", 1.1, 0.0),
     (2, "trivial", 0.0, 0.0),
     (3, "ghz", 2.0, 0.0),
+    (4, "ghz", 2.0, 0.0),
+    (5, "trivial", 0.0, 0.0),
 ])
 def test_exact_run_matches_brute_force_oracle(protocol, m, family, theta, phi):
     """Branch-by-branch agreement with the independent full-register oracle.
