@@ -29,22 +29,30 @@ _PROB_ATOL = 1e-9  # degenerate-probability guard for corrupted states
 
 
 class RngStream:
-    """Counter-based deterministic PRNG (Philox) with derivable substreams.
+    """Counter-based deterministic PRNG (Philox), seeded by one integer.
 
-    A stream is single-owner mutable. Monte Carlo estimation reads one
-    uniform_block whose row i holds the draws of shot i, so its results are a
-    function of (seed, shot index). substream(index) keys an independent
-    Philox generator on (seed, index); no estimator uses it.
+    A stream is single-owner mutable. Philox is counter-based: every block of
+    4 draws comes from one counter value, so skip() can start a fresh stream
+    at any draw index that is a multiple of 4. Monte Carlo estimation reads
+    its per-shot draws in chunks that start that way, so chunk rows equal the
+    rows of one uniform_block over all shots, and its results are a function
+    of (seed, shot index) only.
     """
 
     algorithm = "philox"
 
-    def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
+    def __init__(self, seed: int):
         self.seed = int(seed)
-        self._spawn_key = _spawn_key
-        ss = np.random.SeedSequence(self.seed, spawn_key=_spawn_key)
-        self._gen = np.random.Generator(np.random.Philox(ss))
+        self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(self.seed)))
         self.draws = 0
+
+    def skip(self, draws: int) -> None:
+        """Move a fresh stream past its first `draws` draws (a multiple of 4)."""
+        if draws < 0 or draws % 4:
+            raise ValueError(f"skip needs a non-negative multiple of 4 draws, got {draws}")
+        if self.draws:
+            raise ValueError("skip needs a fresh stream; this one has drawn already")
+        self._gen.bit_generator.advance(draws // 4)
 
     def uniform(self) -> float:
         """One draw, uniform on [0, 1)."""
@@ -56,9 +64,6 @@ class RngStream:
         block = self._gen.random(shape)
         self.draws += block.size
         return block
-
-    def substream(self, index: int) -> "RngStream":
-        return RngStream(self.seed, self._spawn_key + (int(index),))
 
     def __repr__(self):
         return f"RngStream(algorithm={self.algorithm!r}, seed={self.seed}, draws={self.draws})"

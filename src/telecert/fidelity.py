@@ -12,6 +12,7 @@ results are deterministic for a fixed seed regardless of thread count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -200,16 +201,24 @@ def bloch_average(protocol: ProtocolId, postselect: int | None = None,
 # ---------------------------------------------------------------------------
 # Monte Carlo estimation
 
+# Shots per chunk; a multiple of 4, so every chunk starts on a Philox counter
+# step whatever the number of bits per shot.
+CHUNK_SHOTS = 2**16
+
+
 def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: int,
                           seed: int, threads: int = 1) -> FidelityReport:
     """Shot-based estimate of f_th with its standard error.
 
     Shots sample the exact trajectory distribution: announcement bits are
-    drawn in order from per-shot uniforms (one row of a counter-based Philox
-    block per shot, so the draws are a function of (seed, shot index) only),
-    and each shot contributes the branch fidelity of its announcement. The
-    reduction goes through integer outcome tallies, which makes the estimate
-    independent of shot ordering and thread count.
+    drawn in order from per-shot uniforms, and each shot contributes the
+    branch fidelity of its announcement. Shot i reads row i of the
+    counter-based Philox stream of `seed`, so the draws are a function of
+    (seed, shot index) only. Each worker draws, samples and tallies its own
+    chunks of CHUNK_SHOTS shots, started at their row with RngStream.skip,
+    so memory is bounded by the chunk, not the shot count. The reduction goes
+    through integer outcome tallies, which makes the estimate independent of
+    chunking and thread count.
     """
     if shots < 100:
         raise ValueError("shots must be >= 100")
@@ -221,14 +230,18 @@ def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: i
     fids = np.array([bf.fidelity for bf in per_branch])
     probs = np.array([bf.probability for bf in per_branch])
 
-    draws = RngStream(seed).uniform_block((shots, len(kinds)))
-    idx = _sample_branch_indices(kinds, probs, draws)
+    def tally_chunk(start):  # no np.bincount: it would copy idx to 8-byte integers
+        rng = RngStream(seed)
+        rng.skip(start * len(kinds))
+        draws = rng.uniform_block((min(CHUNK_SHOTS, shots - start), len(kinds)))
+        idx = _sample_branch_indices(kinds, probs, draws)
+        return np.array([np.count_nonzero(idx == i) for i in range(len(per_branch))])
 
-    def count(part):  # no np.bincount: it would copy idx to 8-byte integers
-        return np.array([np.count_nonzero(part == i) for i in range(len(per_branch))])
-    bounds = np.linspace(0, shots, threads + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        parts = list(ex.map(lambda se: count(idx[se[0]:se[1]]), zip(bounds[:-1], bounds[1:])))
+    starts = range(0, shots, CHUNK_SHOTS)
+    workers = min(threads, len(starts), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        parts = list(ex.map(lambda w: sum(map(tally_chunk, starts[w::workers])),
+                            range(workers)))
     tally = np.sum(parts, axis=0)
 
     estimate = math.fsum(int(c) * f for c, f in zip(tally, fids)) / shots

@@ -23,13 +23,31 @@ def test_rng_reproducible_and_counted():
     assert RngStream(1234).uniform() != RngStream(1235).uniform()
 
 
-def test_rng_substreams_order_independent():
-    master = RngStream(99)
-    s3_first = master.substream(3).uniform()
-    s1 = master.substream(1).uniform()
-    s3_again = RngStream(99).substream(3).uniform()
-    assert s3_first == s3_again
-    assert s3_first != s1
+@pytest.mark.parametrize("bits", [1, 2, 3])
+def test_rng_skip_matches_block_rows(bits):
+    # Philox is counter-based: a stream skipped past k draws (k % 4 == 0)
+    # continues exactly where the monolithic block's row k / bits begins
+    block = RngStream(77).uniform_block((40, bits))
+    for k in (0, 4, 12, 36):
+        rng = RngStream(77)
+        rng.skip(k * bits)
+        rows = rng.uniform_block((40 - k, bits))
+        assert np.array_equal(rows, block[k:])
+        assert rng.draws == rows.size  # skipped draws are not drawn
+
+
+def test_rng_skip_validation():
+    for k in (1, 2, 3, 6, -4):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            RngStream(0).skip(k)
+    rng = RngStream(0)
+    rng.uniform()
+    with pytest.raises(ValueError, match="fresh stream"):
+        rng.skip(4)
+    rng = RngStream(0)
+    rng.uniform_block((4, 2))
+    with pytest.raises(ValueError, match="fresh stream"):
+        rng.skip(8)
 
 
 def test_random_bit_deterministic_and_fair():

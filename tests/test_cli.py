@@ -261,14 +261,24 @@ def _run_capped(*argv):
 
 
 def test_memory_exhaustion_exits_3():
-    # Monte Carlo holds one Philox block of shots x 2 draws: 1e8 shots ask for
-    # 1.49 GiB, which the 512 MiB address cap refuses with a MemoryError.
-    proc = _run_capped("run", "--protocol", "pb", "--m", "2", "--family", "ghz",
-                       "--theta", "0.7", "--mode", "monte_carlo", "--shots", "100000000",
-                       "--seed", "1")
+    # A sweep holds its theta grid: 1e8 points ask np.linspace for 763 MiB,
+    # which the 512 MiB address cap refuses with a MemoryError.
+    proc = _run_capped("sweep", "--protocol", "pa1", "--m", "2", "--points", "100000000")
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("capacity error: ") and proc.stderr.count("\n") == 1
+
+
+def test_monte_carlo_shot_count_has_memory_bound():
+    # Monte Carlo draws in fixed-size chunks inside the workers: 1e8 shots
+    # (a 1.49 GiB Philox block if held whole) run under the 512 MiB cap.
+    proc = _run_capped("run", "--protocol", "pb", "--m", "2", "--family", "ghz",
+                       "--theta", "0.7", "--mode", "monte_carlo", "--shots", "100000000",
+                       "--seed", "1", "--threads", "2")
+    assert proc.returncode == 0 and proc.stderr == ""
+    payload = json.loads(proc.stdout)
+    assert payload["shots"] == 100_000_000
+    assert abs(payload["f_th"] - (0.5 - math.sin(0.7) ** 2 / 4)) <= 4 * payload["stderr"]
 
 
 @pytest.mark.parametrize("m", [10, 22])

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from telecert import fidelity
+from telecert.channels import RngStream
 from telecert.fidelity import (
+    CHUNK_SHOTS,
+    _sample_branch_indices,
     bloch_average,
     exact_report,
     exact_threshold,
@@ -12,7 +16,15 @@ from telecert.fidelity import (
     theta_sweep,
     threshold_fidelity,
 )
-from telecert.protocols import InputFamily, ProtocolId, ProtocolParams, build_target, run_exact
+from telecert.protocols import (
+    ANNOUNCING,
+    PROTOCOL_OPS,
+    InputFamily,
+    ProtocolId,
+    ProtocolParams,
+    build_target,
+    run_exact,
+)
 
 import oracle
 
@@ -174,6 +186,64 @@ def test_monte_carlo_deterministic_across_threads_and_runs():
         assert rep.f_th == ref.f_th and rep.stderr == ref.stderr
         assert [bf.probability for bf in rep.per_branch] == \
                [bf.probability for bf in ref.per_branch]
+
+
+def _monolithic_counts(protocol, params, shots, seed):
+    """The tally of one Philox block holding every shot's draws."""
+    kinds = [op for op, *_ in PROTOCOL_OPS[protocol] if op in ANNOUNCING]
+    probs = np.array([bf.probability for bf in exact_report(protocol, params).per_branch])
+    draws = RngStream(seed).uniform_block((shots, len(kinds)))
+    idx = _sample_branch_indices(kinds, probs, draws)
+    return [np.count_nonzero(idx == i) for i in range(len(probs))]
+
+
+@pytest.mark.parametrize("protocol", [ProtocolId.PAB, ProtocolId.PB])  # 1 and 2 bits per shot
+@pytest.mark.parametrize("shots", [CHUNK_SHOTS - 1, CHUNK_SHOTS, CHUNK_SHOTS + 1,
+                                   3 * CHUNK_SHOTS + 5])
+def test_monte_carlo_chunks_equal_monolithic_block(protocol, shots):
+    params = ghz(2, 1.2)
+    counts = _monolithic_counts(protocol, params, shots, seed=13)
+    assert sum(counts) == shots
+    for threads in (1, 2, 3):
+        rep = monte_carlo_threshold(protocol, params, shots=shots, seed=13, threads=threads)
+        assert [bf.probability for bf in rep.per_branch] == [c / shots for c in counts]
+
+
+# Captured from an earlier build that held one Philox block for all shots;
+# 200 003 shots span four chunks.
+PINNED_MULTI_CHUNK = ("0x1.62d301bdbc963p-2", "0x1.6c5e4f6108385p-11",
+                      [49905, 50067, 50085, 49946])
+
+
+def test_monte_carlo_multi_chunk_report_pinned():
+    shots = 200_003
+    assert shots > 3 * CHUNK_SHOTS
+    f_th, stderr, counts = PINNED_MULTI_CHUNK
+    for threads in (1, 2):
+        rep = monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.9), shots=shots, seed=7,
+                                    threads=threads)
+        assert (rep.f_th.hex(), rep.stderr.hex()) == (f_th, stderr)
+        assert [bf.probability for bf in rep.per_branch] == [c / shots for c in counts]
+
+
+def test_monte_carlo_pool_is_bounded(monkeypatch):
+    # --threads asks for at most one worker per chunk (and per core); the
+    # recorder runs the work on one real thread whatever it was asked for
+    asked = []
+
+    class Recorder(fidelity.ThreadPoolExecutor):
+        def __init__(self, max_workers=None):
+            asked.append(max_workers)
+            super().__init__(max_workers=1)
+
+    monkeypatch.setattr(fidelity, "ThreadPoolExecutor", Recorder)
+    shots = 2 * CHUNK_SHOTS + 5  # three chunks
+    rep = monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=shots, seed=5,
+                                threads=10**6)
+    assert len(asked) == 1 and 1 <= asked[0] <= 3
+    monkeypatch.undo()
+    ref = monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=shots, seed=5)
+    assert rep == ref
 
 
 def test_monte_carlo_frequencies_match_run_sampled():

@@ -239,7 +239,7 @@ def test_run_sampled_trajectories_pinned(protocol):
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
 def test_run_sampled_frequencies_match_exact(protocol):
     # a single serial stream here; the 1e5-shot acceptance check runs Monte
-    # Carlo, which reads one Philox block whose row i is shot i
+    # Carlo, whose shot i reads row i of the Philox stream, drawn in chunks
     params = ghz(2, 1.0)
     exact = {(br.announcement.a, br.announcement.b): br.probability
              for br in run_exact(protocol, params)}
