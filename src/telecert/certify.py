@@ -124,7 +124,7 @@ def _computed_threshold(adversary: Adversary, criterion: Criterion, m: int) -> t
     names = "/".join(p.value for p in protocols)
     if criterion is Criterion.POINTWISE:
         grid = np.linspace(0.0, np.pi, 33)
-        best = max(f for p in protocols for _, f in fid.theta_sweep(p, m, grid))
+        best = max(float(fid.theta_curve(p, m, grid).max()) for p in protocols)
         return best, f"computed: max over theta of enumerated f_th({names}), m={m}"
     if criterion is Criterion.THETA_AVERAGE:
         best = max(fid.theta_average(p, m) for p in protocols)

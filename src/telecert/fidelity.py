@@ -5,9 +5,16 @@ The threshold fidelity of a protocol run is the announcement sum
     f_th = sum_branches probability * <target| output |target>,
 
 i.e. the plain sum of target overlaps with the sub-normalized branch
-operators. Exact values come from branch enumeration; Monte Carlo estimates
-sample announcement trajectories and are reduced through outcome tallies, so
-results are deterministic for a fixed seed regardless of thread count.
+operators. Exact values at one point (exact_report, theta_sweep) come from
+branch enumeration by the interpreter. Averages over angles (theta_average,
+bloch_average) and the curve behind computed thresholds (theta_curve) read
+per-announcement linear maps instead: each branch's sub-normalized output
+E_b(|t><t|) is linear in the logical input |t><t| (Nielsen & Chuang, section
+8.2), so four interpreter runs per (protocol, k = min(m, 2)) fix E_b, and
+every angle after that is one quartic form in the two target amplitudes.
+Monte Carlo estimates sample announcement trajectories and are reduced
+through outcome tallies, so results are deterministic for a fixed seed
+regardless of thread count.
 """
 from __future__ import annotations
 
@@ -15,6 +22,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,11 +36,14 @@ from .protocols import (
     ProtocolId,
     ProtocolParams,
     TargetState,
+    _announcement,
+    _output,
+    _run,
     build_target,
     logical_target,
     run_exact,
 )
-from .statevec import expectation
+from .statevec import ATOL_CONSTRUCT, PureState, expectation
 
 
 @dataclass(frozen=True)
@@ -110,12 +121,86 @@ def theta_nodes(quadrature: str = "gauss:64") -> tuple[np.ndarray, np.ndarray]:
     return thetas, np.full(n, 1.0 / n)
 
 
+@lru_cache(maxsize=10)
+def _branch_maps(protocol: ProtocolId, k: int) -> tuple[tuple[Announcement, ...],
+                                                        np.ndarray, np.ndarray]:
+    """The per-announcement linear maps E_b of a protocol on k logical qubits.
+
+    Four interpreter runs, on |0_L>, |1_L>, |+_L> and |+i_L>, fix each map;
+    the off-diagonal image is polarized, E_b(|0_L><1_L|) = (P + iQ)/2 with
+    P = 2 E_b(|+><+|) - E_b(|0><0|) - E_b(|1><1|) and Q the same from |+i>.
+    Returns the announcements in run_exact's order, R[b, i, j, r, c] =
+    <s_r| E_b(|i_L><j_L|) |s_c> over the logical basis s of the output, and
+    T[b, i, j] = tr E_b(|i_L><j_L|). The arrays are read-only: the cache
+    hands the same ones to every caller.
+    """
+    ends = [0, 2**k - 1]  # |0_L> = |0..0>, |1_L> = |1..1>
+
+    def images(a0: complex, a1: complex) -> tuple[list[Announcement], np.ndarray]:
+        amps = np.zeros(2**k, dtype=complex)
+        amps[ends] = a0, a1
+        branches = [(_announcement(bits), p, _output(comps))
+                    for bits, p, comps in _run(protocol, PureState(k, amps))]
+        branches.sort(key=lambda br: br[0].key())
+        subs = [np.zeros((2**k, 2**k)) if out is None else p * out.matrix
+                for _, p, out in branches]  # a zero-probability branch maps to zero
+        return [ann for ann, _, _ in branches], np.array(subs)
+
+    s = 1 / math.sqrt(2)
+    (announcements, e00), (_, e11), (_, epp), (_, epi) = (
+        images(a0, a1) for a0, a1 in ((1, 0), (0, 1), (s, s), (s, 1j * s)))
+    p, q = 2 * epp - e00 - e11, 2 * epi - e00 - e11
+    e = np.stack([np.stack([e00, (p + 1j * q) / 2], axis=1),
+                  np.stack([(p - 1j * q) / 2, e11], axis=1)], axis=1)
+    r = np.ascontiguousarray(e[..., ends, :][..., ends])
+    t = np.trace(e, axis1=3, axis2=4)
+    r.flags.writeable = t.flags.writeable = False
+    return tuple(announcements), r, t
+
+
+def _compiled_branches(protocol: ProtocolId, m: int, amps: np.ndarray
+                       ) -> tuple[tuple[Announcement, ...], np.ndarray, np.ndarray]:
+    """p_b and p_b * f_b at logical amplitude pairs amps[n] = (alpha, beta).
+
+    Reads _branch_maps: one contraction gives every node and branch. Applies
+    the per-point checks of exact_report once per grid: m is validated as
+    ProtocolParams does, f_th stays in [0, 1], the overlap's imaginary residue
+    is at most ATOL_CONSTRUCT and each node's branch probabilities sum to 1.
+    """
+    ProtocolParams(m=m, family=InputFamily.GHZ)  # raises for an m no run accepts
+    announcements, r, t = _branch_maps(protocol, min(m, 2))
+    conj = amps.conj()
+    p = np.einsum("ni,nj,bij->nb", amps, conj, t).real
+    pf = np.einsum("nr,ni,nj,nc,bijrc->nb", conj, amps, conj, amps, r)
+    residue = np.max(np.abs(pf.imag), initial=0.0)
+    if residue > ATOL_CONSTRUCT:
+        raise ValueError(f"expectation has imaginary residue {residue}")
+    pf = pf.real
+    f_th = pf.sum(axis=1)
+    if not np.all((-1e-12 <= f_th) & (f_th <= 1 + 1e-12)):
+        raise ValueError(f"threshold fidelity outside [0, 1]: {f_th.min()}, {f_th.max()}")
+    total = p.sum(axis=1)
+    if np.any(np.abs(total - 1.0) > 1e-9):
+        raise ValueError(f"branch probabilities sum to {total[np.argmax(np.abs(total - 1.0))]}")
+    return announcements, p, pf
+
+
+def theta_curve(protocol: ProtocolId, m: int, thetas) -> np.ndarray:
+    """f_th(theta) at each theta of a grid (GHZ family), read off the compiled branch maps.
+
+    Agrees with theta_sweep to rounding (a few ulp); theta_sweep runs the
+    interpreter at every point and is the per-point reference.
+    """
+    half = np.asarray(thetas, dtype=float) / 2
+    amps = np.stack([np.cos(half), np.sin(half)], axis=1)
+    _, _, pf = _compiled_branches(protocol, m, amps)
+    return pf.sum(axis=1)
+
+
 def theta_average(protocol: ProtocolId, m: int, quadrature: str = "gauss:64") -> float:
     """Average of f_th(theta) for theta uniform on [0, pi), GHZ family."""
     thetas, weights = theta_nodes(quadrature)
-    values = [exact_threshold(protocol, ProtocolParams(m=m, family=InputFamily.GHZ, theta=t))
-              for t in thetas]
-    return math.fsum(w * v for w, v in zip(weights, values))
+    return math.fsum(weights * theta_curve(protocol, m, thetas))
 
 
 @dataclass(frozen=True)
@@ -173,27 +258,20 @@ def bloch_average(protocol: ProtocolId, postselect: int | None = None,
     wu = wu / 2  # d(cos theta)/2
     phis = (np.arange(phi_nodes_n) + 0.5) * (2 * np.pi / phi_nodes_n)
 
-    acc_p = {0: [], 1: []}
-    acc_f = {0: [], 1: []}
-    acc_f2 = {0: [], 1: []}
-    for ui, wi in zip(u, wu):
-        theta = float(np.arccos(ui))
-        for phi in phis:
-            w = wi / phi_nodes_n
-            params = ProtocolParams(m=1, family=InputFamily.BLOCH, theta=theta, phi=float(phi))
-            per_branch = exact_report(protocol, params).per_branch
-            for a in (0, 1):
-                group = [bf for bf in per_branch if bf.announcement.a == a]
-                p_tot = math.fsum(bf.probability for bf in group)
-                fid = math.fsum(bf.probability * bf.fidelity for bf in group) / p_tot
-                acc_p[a].append(w * group[0].probability)
-                acc_f[a].append(w * fid)
-                acc_f2[a].append(w * fid * fid)
+    # nodes in (theta, phi) order, phi fastest: the order of the sums below
+    half = np.repeat(np.arccos(u), phi_nodes_n) / 2
+    phase = np.exp(1j * np.tile(phis, theta_nodes_n))
+    amps = np.stack([np.cos(half), np.sin(half) * phase], axis=1)
+    weights = np.repeat(wu / phi_nodes_n, phi_nodes_n)
+    announcements, p, pf = _compiled_branches(protocol, 1, amps)
 
-    per = tuple(
-        AnnouncementAverage(a, math.fsum(acc_p[a]), math.fsum(acc_f[a]), math.fsum(acc_f2[a]))
-        for a in (0, 1)
-    )
+    per = []
+    for a in (0, 1):
+        group = [b for b, ann in enumerate(announcements) if ann.a == a]
+        fid = pf[:, group].sum(axis=1) / p[:, group].sum(axis=1)
+        per.append(AnnouncementAverage(a, math.fsum(weights * p[:, group[0]]),
+                                       math.fsum(weights * fid), math.fsum(weights * fid * fid)))
+    per = tuple(per)
     post = per[postselect].postselected_average if postselect is not None else None
     return BlochAverageReport(protocol, per, post)
 

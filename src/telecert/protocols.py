@@ -32,9 +32,11 @@ operator is probability * output. B's fake commutes with A's operations
 equivalent to any interleaving (the test suite checks this against an
 independent simulation that orders B first).
 
-One interpreter runs the table. run_exact keeps both outcomes of every
-measure and coin and is pure; run_sampled keeps the one drawn from its
-RngStream, one draw per announced bit in table order, and mutates only that.
+One interpreter, _run, runs the table on a logical target. run_exact keeps
+both outcomes of every measure and coin and is pure; run_sampled keeps the
+one drawn from its RngStream, one draw per announced bit in table order, and
+mutates only that. fidelity runs it on four logical basis inputs to compile
+each protocol's per-announcement linear maps.
 """
 from __future__ import annotations
 
@@ -205,8 +207,13 @@ def _lift(rho: DensityOperator | None, m: int) -> DensityOperator | None:
 
 def _prefix_state(params: ProtocolParams) -> PureState:
     """Logical state after C's rotation and D's entangling gadget, k + 2 qubits."""
+    return _with_ebit(logical_target(build_target(params)))
+
+
+def _with_ebit(psi: PureState) -> PureState:
+    """The logical target psi followed by the entangled pair D supplies."""
     ebit = apply_unitary(basis_state(2), gates.entanglement_gadget(), [0, 1])
-    return tensor(logical_target(build_target(params)), ebit)
+    return tensor(psi, ebit)
 
 
 def _pauli_power(z_pow: int, x_pow: int) -> np.ndarray:
@@ -259,14 +266,15 @@ def _outcomes(op: str, comps: list[PureState] | None, rng: RngStream | None,
             for o in kept]
 
 
-def _run(protocol: ProtocolId, params: ProtocolParams,
+def _run(protocol: ProtocolId, psi: PureState,
          rng: RngStream | None = None) -> list[tuple[dict[str, int], float, list | None]]:
-    """Run PROTOCOL_OPS[protocol] over (bits, probability, components) branches.
+    """Run PROTOCOL_OPS[protocol] on the k-qubit logical target psi.
 
-    components is None on a zero-probability branch and stays None below it.
+    Returns (bits, probability, components) branches; components is None on a
+    zero-probability branch and stays None below it.
     """
-    k = min(params.m, 2)
-    branches = [({}, 1.0, [_prefix_state(params)])]
+    k = psi.num_qubits
+    branches = [({}, 1.0, [_with_ebit(psi)])]
     for op, *args in PROTOCOL_OPS[protocol]:
         if op in ANNOUNCING:
             branches = [({**bits, args[0]: bit}, p * q, post)
@@ -305,12 +313,12 @@ def run_exact(protocol: ProtocolId, params: ProtocolParams) -> list[Branch]:
     Branches are sorted by announcement bits; probabilities sum to one.
     """
     out = [Branch(_announcement(bits), p, _output(comps), params.m)
-           for bits, p, comps in _run(protocol, params)]
+           for bits, p, comps in _run(protocol, logical_target(build_target(params)))]
     return sorted(out, key=lambda br: br.announcement.key())
 
 
 def run_sampled(protocol: ProtocolId, params: ProtocolParams,
                 rng: RngStream) -> tuple[Announcement, DensityOperator]:
     """One protocol trajectory; announcement bits are drawn in (a, b) order."""
-    [(bits, _, comps)] = _run(protocol, params, rng)
+    [(bits, _, comps)] = _run(protocol, logical_target(build_target(params)), rng)
     return _announcement(bits), _lift(_output(comps), params.m)

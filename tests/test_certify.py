@@ -10,7 +10,8 @@ from telecert.certify import (
     self_threshold,
     threshold_table,
 )
-from telecert.protocols import InputFamily
+from telecert.fidelity import theta_sweep
+from telecert.protocols import InputFamily, ProtocolId
 
 TAB = AdversaryModel(Adversary.CHEATING_A, ThresholdSource.TABULATED)
 
@@ -111,3 +112,17 @@ def test_threshold_table_m2_ghz_averaged():
     # the computed B-cheat average is the enumerated optimum, above the tabulated constant
     assert values[("cheating_b", "theta_average", "computed")] == pytest.approx(3 / 8, abs=1e-9)
     assert values[("cheating_a", "theta_average", "computed")] == pytest.approx(3 / 8, abs=1e-9)
+
+
+@pytest.mark.parametrize("adversary, protocols", [
+    (Adversary.CHEATING_A, (ProtocolId.PA1, ProtocolId.PA2)),
+    (Adversary.CHEATING_B, (ProtocolId.PB,)),
+    (Adversary.CHEATING_AB, (ProtocolId.PAB,)),
+])
+def test_computed_pointwise_threshold_matches_theta_sweep(adversary, protocols):
+    # the computed threshold reads compiled maps; theta_sweep runs the
+    # interpreter at each of the same 33 angles
+    grid = np.linspace(0, np.pi, 33)
+    for m in (1, 2, 3, 8):
+        want = max(f for p in protocols for _, f in theta_sweep(p, m, grid))
+        assert abs(self_threshold(adversary, Criterion.POINTWISE, m) - want) <= 1e-12

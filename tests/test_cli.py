@@ -246,6 +246,16 @@ def test_exit_codes(capsys):
     assert code == 2 and err == "error: theta must be finite, got nan\n"
     code, _, err = run_cli(capsys, "run", "--phi", "inf")
     assert code == 2 and err == "error: phi must be finite, got inf\n"
+    # averages and computed thresholds read compiled maps, not per-point
+    # ProtocolParams; they must still refuse the m those would refuse
+    for argv in (("average", "--m", "0"), ("thresholds", "--m", "0", "--family", "ghz")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err == "error: m must be >= 1\n"
+    for argv in (("average", "--m", "23"), ("thresholds", "--m", "23", "--family", "ghz"),
+                 ("certify", "--model", "cheating_a", "--criterion", "pointwise",
+                  "--family", "ghz", "--m", "23", "--self")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3 and err == "capacity error: m + 2 = 25 exceeds register cap 24\n"
 
 
 def _run_capped(*argv):

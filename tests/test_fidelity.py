@@ -158,6 +158,132 @@ def test_bloch_average_validation():
         bloch_average(ProtocolId.PB, postselect=2)
 
 
+# Averages read the compiled branch maps; these references run the interpreter
+# at every node. The two differ only in rounding.
+COMPILED_TOL = 1e-12
+
+
+@pytest.mark.parametrize("protocol", list(ProtocolId))
+def test_theta_average_matches_per_point_reference(protocol):
+    for m in (1, 2, 3, 8):
+        for quadrature in ("gauss:64", "grid:33"):
+            thetas, weights = fidelity.theta_nodes(quadrature)
+            want = math.fsum(w * exact_threshold(protocol, ghz(m, float(t)))
+                             for t, w in zip(thetas, weights))
+            assert abs(theta_average(protocol, m, quadrature) - want) <= COMPILED_TOL
+
+
+def _bloch_reference(protocol, theta_nodes_n, phi_nodes_n):
+    """Per-announcement (branch probability, plain, squared) sums, one exact_report per node."""
+    u, wu = np.polynomial.legendre.leggauss(theta_nodes_n)
+    phis = (np.arange(phi_nodes_n) + 0.5) * (2 * np.pi / phi_nodes_n)
+    acc = {a: ([], [], []) for a in (0, 1)}
+    for ui, wi in zip(u, wu / 2):
+        for phi in phis:
+            w = wi / phi_nodes_n
+            per_branch = exact_report(protocol, bloch(float(np.arccos(ui)), float(phi))).per_branch
+            for a, (acc_p, acc_f, acc_f2) in acc.items():
+                group = [bf for bf in per_branch if bf.announcement.a == a]
+                f = (math.fsum(bf.probability * bf.fidelity for bf in group)
+                     / math.fsum(bf.probability for bf in group))
+                acc_p.append(w * group[0].probability)
+                acc_f.append(w * f)
+                acc_f2.append(w * f * f)
+    return {a: tuple(map(math.fsum, sums)) for a, sums in acc.items()}
+
+
+@pytest.mark.parametrize("protocol", [ProtocolId.PB, ProtocolId.PAB])
+def test_bloch_average_matches_per_point_reference(protocol):
+    ref = _bloch_reference(protocol, 16, 4)
+    report = bloch_average(protocol, postselect=1, theta_nodes_n=16, phi_nodes_n=4)
+    for ann in report.per_announcement:
+        p, plain, squared = ref[ann.a]
+        table = p * squared if ann.a == 0 else p * squared / plain
+        for got, want in ((ann.branch_probability, p), (ann.plain_average, plain),
+                          (ann.squared_average, squared),
+                          (ann.postselected_average, squared / plain), (ann.table_value, table)):
+            assert abs(got - want) <= COMPILED_TOL
+    assert abs(report.postselected - ref[1][2] / ref[1][1]) <= COMPILED_TOL
+
+
+@pytest.mark.parametrize("protocol", list(ProtocolId))
+def test_average_fidelity_from_entanglement_fidelity(protocol):
+    # Horodecki, Horodecki & Horodecki, PRA 60, 1888 (1999): a qubit channel
+    # with entanglement fidelity F_e has average fidelity (2 F_e + 1) / 3. The
+    # channel is the announcement sum of the m = 1 maps; f_th is quadratic in
+    # the Bloch vector, so 3 Gauss nodes in cos(theta) and 4 midpoints in phi
+    # give the sphere average exactly.
+    _, r, _ = fidelity._branch_maps(protocol, 1)
+    f_e = np.einsum("bijij->", r).real / 4
+    u, wu = np.polynomial.legendre.leggauss(3)
+    phis = (np.arange(4) + 0.5) * (np.pi / 2)
+    sphere = math.fsum(wi / 2 / 4 * exact_report(protocol, bloch(float(np.arccos(ui)),
+                                                                 float(phi))).f_th
+                       for ui, wi in zip(u, wu) for phi in phis)
+    assert abs((2 * f_e + 1) / 3 - sphere) <= COMPILED_TOL
+
+
+# Hex floats of the per-point path (exact_report: f_th, then (probability,
+# fidelity) per branch), captured before averages moved to compiled maps; that
+# change must leave this path untouched.
+PINNED_EXACT = {
+    "ghz(2, 0.9)": {
+        "p0": ("0x1.ffffffffffffbp-1", (("0x1.ffffffffffffbp-3", "0x1.0000000000000p+0"),
+                                        ("0x1.ffffffffffffbp-3", "0x1.0000000000000p+0"),
+                                        ("0x1.ffffffffffffbp-3", "0x1.0000000000000p+0"),
+                                        ("0x1.ffffffffffffbp-3", "0x1.0000000000000p+0"))),
+        "pa1": ("0x1.62eb0ab0daf16p-2", (("0x1.9f21d4b49710dp-2", "0x1.9f21d4b49710cp-2"),
+                                         ("0x1.9f21d4b49710dp-2", "0x1.9f21d4b49710cp-2"),
+                                         ("0x1.8378ad2da3bc6p-4", "0x1.8378ad2da3bc9p-4"),
+                                         ("0x1.8378ad2da3bc6p-4", "0x1.8378ad2da3bc9p-4"))),
+        "pa2": ("0x1.62eb0ab0daf17p-2", (("0x1.0000000000000p-2", "0x1.62eb0ab0daf17p-2"),
+                                         ("0x1.0000000000000p-2", "0x1.62eb0ab0daf17p-2"),
+                                         ("0x1.0000000000000p-2", "0x1.62eb0ab0daf17p-2"),
+                                         ("0x1.0000000000000p-2", "0x1.62eb0ab0daf17p-2"))),
+        "pb": ("0x1.62eb0ab0daf15p-2", (("0x1.ffffffffffffbp-3", "0x1.50975a0d0489ap-1"),
+                                        ("0x1.ffffffffffffbp-3", "0x1.50975a0d0489ap-1"),
+                                        ("0x1.ffffffffffffbp-3", "0x1.253b0a3d667e0p-5"),
+                                        ("0x1.ffffffffffffbp-3", "0x1.253b0a3d667e0p-5"))),
+        "pab": ("0x1.62eb0ab0daf15p-2", (("0x1.ffffffffffffdp-2", "0x1.50975a0d04899p-1"),
+                                         ("0x1.ffffffffffffdp-2", "0x1.253b0a3d667e0p-5"))),
+    },
+    "bloch(1.0, 0.3)": {
+        "p0": ("0x1.ffffffffffffcp-1", (("0x1.ffffffffffffcp-3", "0x1.0000000000000p+0"),
+                                        ("0x1.ffffffffffffcp-3", "0x1.0000000000000p+0"),
+                                        ("0x1.ffffffffffffcp-3", "0x1.0000000000000p+0"),
+                                        ("0x1.ffffffffffffcp-3", "0x1.0000000000000p+0"))),
+        "pa1": ("0x1.ffffffffffffdp-2", (("0x1.8a51407da8344p-2", "0x1.fffffffffffffp-2"),
+                                         ("0x1.8a51407da8344p-2", "0x1.fffffffffffffp-2"),
+                                         ("0x1.d6bafe095f2e6p-4", "0x1.0000000000001p-1"),
+                                         ("0x1.d6bafe095f2e6p-4", "0x1.0000000000001p-1"))),
+        "pa2": ("0x1.fffffffffffffp-2", (("0x1.0000000000000p-2", "0x1.fffffffffffffp-2"),
+                                         ("0x1.0000000000000p-2", "0x1.fffffffffffffp-2"),
+                                         ("0x1.0000000000000p-2", "0x1.fffffffffffffp-2"),
+                                         ("0x1.0000000000000p-2", "0x1.fffffffffffffp-2"))),
+        "pb": ("0x1.ffffffffffffcp-2", (("0x1.ffffffffffffcp-3", "0x1.8a51407da8346p-1"),
+                                        ("0x1.ffffffffffffcp-3", "0x1.8a51407da8346p-1"),
+                                        ("0x1.ffffffffffffcp-3", "0x1.d6bafe095f2e6p-3"),
+                                        ("0x1.ffffffffffffcp-3", "0x1.d6bafe095f2e6p-3"))),
+        "pab": ("0x1.ffffffffffffcp-2", (("0x1.ffffffffffffcp-2", "0x1.8a51407da8346p-1"),
+                                         ("0x1.ffffffffffffcp-2", "0x1.d6bafe095f2e7p-3"))),
+    },
+}
+PINNED_SWEEP_PA1 = ["0x1.0000000000000p-1", "0x1.bffffffffffffp-2", "0x1.4000000000000p-2",
+                    "0x1.ffffffffffffep-3", "0x1.4000000000000p-2", "0x1.bfffffffffffap-2",
+                    "0x1.0000000000000p-1"]
+
+
+def test_per_point_path_pinned():
+    for label, params in (("ghz(2, 0.9)", ghz(2, 0.9)), ("bloch(1.0, 0.3)", bloch(1.0, 0.3))):
+        for protocol in ProtocolId:
+            rep = exact_report(protocol, params)
+            got = (rep.f_th.hex(), tuple((bf.probability.hex(), bf.fidelity.hex())
+                                         for bf in rep.per_branch))
+            assert got == PINNED_EXACT[label][protocol.value]
+    sweep = theta_sweep(ProtocolId.PA1, 2, np.linspace(0, np.pi, 7))
+    assert [f.hex() for _, f in sweep] == PINNED_SWEEP_PA1
+
+
 def test_monte_carlo_zero_variance_case():
     report = monte_carlo_threshold(ProtocolId.P0, bloch(0.8, 0.1), shots=10_000, seed=3)
     assert report.f_th == pytest.approx(1.0, abs=1e-12)
