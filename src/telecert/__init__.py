@@ -11,7 +11,7 @@ from .certify import (
     decide,
     threshold_table,
 )
-from .channels import MeasurementOutcome, RngStream, measure_branches, measure_sample, random_bit, regenerate_zero, trash
+from .channels import MeasurementOutcome, RngStream, measure_branches, regenerate_zero, trash
 from .fidelity import (
     BlochAverageReport,
     BranchFidelity,

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import fidelity as fid
-from .protocols import InputFamily, ProtocolId
+from .protocols import InputFamily, ProtocolId, ProtocolParams
 
 
 class Adversary(Enum):
@@ -153,6 +153,7 @@ def decide(observed: float, model: AdversaryModel, m: int = 1,
     The verdict is issue exactly when observed strictly exceeds the selected
     threshold, so it is monotone in the observation.
     """
+    ProtocolParams(m=m, family=family)  # raises for a pair no run accepts
     if not (0.0 <= observed <= 1.0) or math.isnan(observed):
         raise ValueError(f"observed fidelity {observed} outside [0, 1]")
     if criterion is Criterion.THETA_AVERAGE and family is not InputFamily.GHZ:
@@ -173,6 +174,7 @@ def self_threshold(adversary: Adversary, criterion: Criterion, m: int) -> float:
 
 def threshold_table(m: int, family: InputFamily) -> list[dict]:
     """All applicable (model, criterion, threshold) rows with provenance."""
+    ProtocolParams(m=m, family=family)  # raises for a pair no run accepts
     rows: list[dict] = []
     for adversary in Adversary:
         for criterion in Criterion:
@@ -180,7 +182,7 @@ def threshold_table(m: int, family: InputFamily) -> list[dict]:
                 continue
             if criterion is Criterion.THETA_AVERAGE and family is not InputFamily.GHZ:
                 continue
-            if criterion is Criterion.BLOCH_POSTSELECTED and (family is not InputFamily.BLOCH or m != 1):
+            if criterion is Criterion.BLOCH_POSTSELECTED and family is not InputFamily.BLOCH:
                 continue
             for source in ThresholdSource:
                 model = AdversaryModel(adversary, source)

@@ -1,4 +1,4 @@
-"""Non-unitary primitives: destructive measurement, trash, random bits, reset.
+"""Non-unitary primitives: destructive measurement, trash, reset, and the RNG stream.
 
 Measurement is destructive: the measured qubit is deleted from the register,
 so an n-qubit state becomes an (n-1)-qubit state plus one classical bit.
@@ -9,6 +9,9 @@ Trash discards a qubit with no classical record (a partial trace); it differs
 from measure-and-forget only in that no bit exists, not in the surviving
 state: the probability-weighted average of the two measurement branches
 equals the partial trace exactly.
+
+Nothing here samples: protocols draws every announcement from RngStream rows
+in one function, _sample_branch_indices.
 """
 from __future__ import annotations
 
@@ -33,10 +36,11 @@ class RngStream:
 
     A stream is single-owner mutable. Philox is counter-based: every block of
     4 draws comes from one counter value, so skip() can start a fresh stream
-    at any draw index that is a multiple of 4. Monte Carlo estimation reads
-    its per-shot draws in chunks that start that way, so chunk rows equal the
-    rows of one uniform_block over all shots, and its results are a function
-    of (seed, shot index) only.
+    at any draw index that is a multiple of 4. Row i of the draws is the
+    block of trajectory or shot i: run_sampled reads one row per call, and
+    Monte Carlo estimation reads its rows in chunks that start on a counter
+    step, so chunk rows equal the rows of one uniform_block over all shots,
+    and its results are a function of (seed, shot index) only.
     """
 
     algorithm = "philox"
@@ -106,18 +110,6 @@ def measure_branches(state: PureState, qubit: int) -> list[MeasurementOutcome]:
     if abs(total - 1.0) > _PROB_ATOL:
         raise ValueError(f"branch probabilities sum to {total}, state corrupted")
     return out
-
-
-def measure_sample(state: PureState, qubit: int, rng: RngStream) -> MeasurementOutcome:
-    """Sample one outcome with Born-rule probabilities; consumes one draw."""
-    branches = measure_branches(state, qubit)
-    p0 = branches[0].probability
-    return branches[0] if rng.uniform() < p0 else branches[1]
-
-
-def random_bit(rng: RngStream) -> int:
-    """Fair classical bit, independent of every quantum register."""
-    return 0 if rng.uniform() >= 0.5 else 1
 
 
 def trash(state: PureState | DensityOperator, qubit: int) -> DensityOperator:

@@ -8,11 +8,11 @@ i.e. the plain sum of target overlaps with the sub-normalized branch
 operators. Exact values at one point (exact_report, theta_sweep) come from
 branch enumeration by the interpreter. Averages over angles (theta_average,
 bloch_average) and the curve behind computed thresholds (theta_curve) read
-per-announcement linear maps instead: each branch's sub-normalized output
-E_b(|t><t|) is linear in the logical input |t><t| (Nielsen & Chuang, section
-8.2), so four interpreter runs per (protocol, k = min(m, 2)) fix E_b, and
-every angle after that is one quartic form in the two target amplitudes.
-Monte Carlo estimates sample announcement trajectories and are reduced
+the per-announcement linear maps E_b that protocols._branch_maps compiles
+from four interpreter runs per (protocol, k = min(m, 2)): every angle is one
+quartic form in the two target amplitudes. Monte Carlo estimates draw
+announcements through protocols._sample_branch_indices, the sampler
+run_sampled uses, at exact_report's branch probabilities, and are reduced
 through outcome tallies, so results are deterministic for a fixed seed
 regardless of thread count.
 """
@@ -22,28 +22,25 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .channels import RngStream
 from .protocols import (
-    ANNOUNCING,
-    PROTOCOL_OPS,
+    DRAW_KINDS,
     Announcement,
     Branch,
     InputFamily,
     ProtocolId,
     ProtocolParams,
     TargetState,
-    _announcement,
-    _output,
-    _run,
+    _branch_maps,
+    _sample_branch_indices,
     build_target,
     logical_target,
     run_exact,
 )
-from .statevec import ATOL_CONSTRUCT, PureState, expectation
+from .statevec import ATOL_CONSTRUCT, expectation
 
 
 @dataclass(frozen=True)
@@ -121,43 +118,6 @@ def theta_nodes(quadrature: str = "gauss:64") -> tuple[np.ndarray, np.ndarray]:
     return thetas, np.full(n, 1.0 / n)
 
 
-@lru_cache(maxsize=10)
-def _branch_maps(protocol: ProtocolId, k: int) -> tuple[tuple[Announcement, ...],
-                                                        np.ndarray, np.ndarray]:
-    """The per-announcement linear maps E_b of a protocol on k logical qubits.
-
-    Four interpreter runs, on |0_L>, |1_L>, |+_L> and |+i_L>, fix each map;
-    the off-diagonal image is polarized, E_b(|0_L><1_L|) = (P + iQ)/2 with
-    P = 2 E_b(|+><+|) - E_b(|0><0|) - E_b(|1><1|) and Q the same from |+i>.
-    Returns the announcements in run_exact's order, R[b, i, j, r, c] =
-    <s_r| E_b(|i_L><j_L|) |s_c> over the logical basis s of the output, and
-    T[b, i, j] = tr E_b(|i_L><j_L|). The arrays are read-only: the cache
-    hands the same ones to every caller.
-    """
-    ends = [0, 2**k - 1]  # |0_L> = |0..0>, |1_L> = |1..1>
-
-    def images(a0: complex, a1: complex) -> tuple[list[Announcement], np.ndarray]:
-        amps = np.zeros(2**k, dtype=complex)
-        amps[ends] = a0, a1
-        branches = [(_announcement(bits), p, _output(comps))
-                    for bits, p, comps in _run(protocol, PureState(k, amps))]
-        branches.sort(key=lambda br: br[0].key())
-        subs = [np.zeros((2**k, 2**k)) if out is None else p * out.matrix
-                for _, p, out in branches]  # a zero-probability branch maps to zero
-        return [ann for ann, _, _ in branches], np.array(subs)
-
-    s = 1 / math.sqrt(2)
-    (announcements, e00), (_, e11), (_, epp), (_, epi) = (
-        images(a0, a1) for a0, a1 in ((1, 0), (0, 1), (s, s), (s, 1j * s)))
-    p, q = 2 * epp - e00 - e11, 2 * epi - e00 - e11
-    e = np.stack([np.stack([e00, (p + 1j * q) / 2], axis=1),
-                  np.stack([(p - 1j * q) / 2, e11], axis=1)], axis=1)
-    r = np.ascontiguousarray(e[..., ends, :][..., ends])
-    t = np.trace(e, axis1=3, axis2=4)
-    r.flags.writeable = t.flags.writeable = False
-    return tuple(announcements), r, t
-
-
 def _compiled_branches(protocol: ProtocolId, m: int, amps: np.ndarray
                        ) -> tuple[tuple[Announcement, ...], np.ndarray, np.ndarray]:
     """p_b and p_b * f_b at logical amplitude pairs amps[n] = (alpha, beta).
@@ -168,7 +128,7 @@ def _compiled_branches(protocol: ProtocolId, m: int, amps: np.ndarray
     is at most ATOL_CONSTRUCT and each node's branch probabilities sum to 1.
     """
     ProtocolParams(m=m, family=InputFamily.GHZ)  # raises for an m no run accepts
-    announcements, r, t = _branch_maps(protocol, min(m, 2))
+    announcements, _, r, t = _branch_maps(protocol, min(m, 2))
     conj = amps.conj()
     p = np.einsum("ni,nj,bij->nb", amps, conj, t).real
     pf = np.einsum("nr,ni,nj,nc,bijrc->nb", conj, amps, conj, amps, r)
@@ -304,7 +264,7 @@ def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: i
         raise ValueError("threads must be >= 1")
 
     per_branch = exact_report(protocol, params).per_branch
-    kinds = [op for op, *_ in PROTOCOL_OPS[protocol] if op in ANNOUNCING]
+    kinds = DRAW_KINDS[protocol]
     fids = np.array([bf.fidelity for bf in per_branch])
     probs = np.array([bf.probability for bf in per_branch])
 
@@ -330,31 +290,3 @@ def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: i
                 for bf, c, f in zip(per_branch, tally, fids))
     return FidelityReport(protocol, params, estimate, per, mode="monte_carlo",
                           shots=shots, stderr=stderr, seed=seed)
-
-
-def _sample_branch_indices(kinds: list[str], probs: np.ndarray,
-                           draws: np.ndarray) -> np.ndarray:
-    """Vectorized announcement sampling; branch order matches run_exact.
-
-    kinds are the announcing ops of PROTOCOL_OPS in draw order; column j of
-    draws is the draw of bit j. The conventions are run_sampled's: a measured
-    bit is 1 when u >= P(0 | earlier bits), and a coin is 1 when u < 1/2.
-    Branch index i has the bits of i, first bit highest; it fits one byte,
-    as does every other per-shot array but draws.
-    """
-    idx = np.zeros(1, dtype=np.uint8)  # the empty prefix, broadcast over shots
-    for j, kind in enumerate(kinds):
-        if kind == "coin":
-            bit = draws[:, j] < 0.5
-        else:
-            # joint[i, x]: probability of earlier bits i followed by bit x
-            joint = probs.reshape(2**j, 2, -1).sum(axis=2)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                # the empty prefix has probability 1 by definition, not the float sum
-                prefix = joint.sum(axis=1) if j else np.ones(1)
-                cond0 = np.where(prefix > 0, joint[:, 0] / prefix, 0.5)
-            bit = np.zeros(len(draws), dtype=bool)
-            for i, c in enumerate(cond0):  # one threshold per prefix, not a float per shot
-                bit |= (idx == i) & (draws[:, j] >= c)
-        idx = 2 * idx + bit
-    return idx

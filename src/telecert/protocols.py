@@ -32,22 +32,24 @@ operator is probability * output. B's fake commutes with A's operations
 equivalent to any interleaving (the test suite checks this against an
 independent simulation that orders B first).
 
-One interpreter, _run, runs the table on a logical target. run_exact keeps
-both outcomes of every measure and coin and is pure; run_sampled keeps the
-one drawn from its RngStream, one draw per announced bit in table order, and
-mutates only that. fidelity runs it on four logical basis inputs to compile
-each protocol's per-announcement linear maps.
+One interpreter, _run, runs the table on a logical target and keeps both
+outcomes of every measure and coin; run_exact is one run. Branch outputs are
+linear in the input (Nielsen & Chuang, section 8.2), so _branch_maps caches
+each protocol's per-announcement maps E_b from four runs. run_sampled reads
+p_b and E_b off them and draws one RngStream row, one draw per announced bit,
+through _sample_branch_indices, the one sampler, which Monte Carlo also uses.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from . import gates
-from .channels import RngStream, _project, measure_branches, measure_sample, random_bit
+from .channels import RngStream, _project, measure_branches
 from .statevec import (
     CapacityError,
     DensityOperator,
@@ -91,6 +93,8 @@ PROTOCOL_OPS: dict[ProtocolId, tuple[tuple, ...]] = {
 
 # ops that announce a classical bit; each consumes one draw when sampled
 ANNOUNCING = ("measure", "coin")
+# each row's announcing ops in draw order
+DRAW_KINDS = {p: tuple(op for op, *_ in ops if op in ANNOUNCING) for p, ops in PROTOCOL_OPS.items()}
 
 
 class InputFamily(Enum):
@@ -205,11 +209,6 @@ def _lift(rho: DensityOperator | None, m: int) -> DensityOperator | None:
     return DensityOperator(m, full)
 
 
-def _prefix_state(params: ProtocolParams) -> PureState:
-    """Logical state after C's rotation and D's entangling gadget, k + 2 qubits."""
-    return _with_ebit(logical_target(build_target(params)))
-
-
 def _with_ebit(psi: PureState) -> PureState:
     """The logical target psi followed by the entangled pair D supplies."""
     ebit = apply_unitary(basis_state(2), gates.entanglement_gadget(), [0, 1])
@@ -252,22 +251,18 @@ def _apply(op: str, args: list, bits: dict[str, int], comps: list[PureState],
     raise ValueError(f"unknown op {op!r}")
 
 
-def _outcomes(op: str, comps: list[PureState] | None, rng: RngStream | None,
-              qubit: int) -> list[tuple]:
-    """(bit, conditional probability, post components) for each kept outcome of an announcing op."""
+def _outcomes(op: str, comps: list[PureState] | None, qubit: int) -> list[tuple]:
+    """(bit, conditional probability, post components) for both outcomes of an announcing op."""
     if op == "coin":
-        both = [(0, 0.5, comps), (1, 0.5, comps)]
-        return both if rng is None else [both[random_bit(rng)]]
+        return [(0, 0.5, comps), (1, 0.5, comps)]
     if comps is None:
         return [(0, 0.0, None), (1, 0.0, None)]
     [state] = comps  # no row measures after a trash
-    kept = measure_branches(state, qubit) if rng is None else [measure_sample(state, qubit, rng)]
     return [(o.bit, o.probability, None if o.post_state is None else [o.post_state])
-            for o in kept]
+            for o in measure_branches(state, qubit)]
 
 
-def _run(protocol: ProtocolId, psi: PureState,
-         rng: RngStream | None = None) -> list[tuple[dict[str, int], float, list | None]]:
+def _run(protocol: ProtocolId, psi: PureState) -> list[tuple[dict[str, int], float, list | None]]:
     """Run PROTOCOL_OPS[protocol] on the k-qubit logical target psi.
 
     Returns (bits, probability, components) branches; components is None on a
@@ -279,7 +274,7 @@ def _run(protocol: ProtocolId, psi: PureState,
         if op in ANNOUNCING:
             branches = [({**bits, args[0]: bit}, p * q, post)
                         for bits, p, comps in branches
-                        for bit, q, post in _outcomes(op, comps, rng, k - 1)]
+                        for bit, q, post in _outcomes(op, comps, k - 1)]
         else:
             branches = [(bits, p, None if comps is None else _apply(op, args, bits, comps, k))
                         for bits, p, comps in branches]
@@ -317,8 +312,86 @@ def run_exact(protocol: ProtocolId, params: ProtocolParams) -> list[Branch]:
     return sorted(out, key=lambda br: br.announcement.key())
 
 
+@lru_cache(maxsize=10)
+def _branch_maps(protocol: ProtocolId, k: int) -> tuple[tuple[Announcement, ...], np.ndarray,
+                                                        np.ndarray, np.ndarray]:
+    """The per-announcement linear maps E_b of a protocol on k logical qubits.
+
+    Four interpreter runs, on |0_L>, |1_L>, |+_L> and |+i_L>, fix each map;
+    the off-diagonal image is polarized, E_b(|0_L><1_L|) = (P + iQ)/2 with
+    P = 2 E_b(|+><+|) - E_b(|0><0|) - E_b(|1><1|) and Q the same from |+i>.
+    Returns the announcements in run_exact's order, E[b, i, j] =
+    E_b(|i_L><j_L|) over the k output qubits, its logical block R[b, i, j, r, c]
+    = <s_r| E[b, i, j] |s_c> and T[b, i, j] = tr E[b, i, j]. The arrays are
+    read-only: the cache hands the same ones to every caller.
+    """
+    ends = [0, 2**k - 1]  # |0_L> = |0..0>, |1_L> = |1..1>
+
+    def images(a0: complex, a1: complex) -> tuple[list[Announcement], np.ndarray]:
+        amps = np.zeros(2**k, dtype=complex)
+        amps[ends] = a0, a1
+        branches = [(_announcement(bits), p, _output(comps))
+                    for bits, p, comps in _run(protocol, PureState(k, amps))]
+        branches.sort(key=lambda br: br[0].key())
+        subs = [np.zeros((2**k, 2**k)) if out is None else p * out.matrix
+                for _, p, out in branches]  # a zero-probability branch maps to zero
+        return [ann for ann, _, _ in branches], np.array(subs)
+
+    s = 1 / math.sqrt(2)
+    (announcements, e00), (_, e11), (_, epp), (_, epi) = (
+        images(a0, a1) for a0, a1 in ((1, 0), (0, 1), (s, s), (s, 1j * s)))
+    p, q = 2 * epp - e00 - e11, 2 * epi - e00 - e11
+    e = np.stack([np.stack([e00, (p + 1j * q) / 2], axis=1),
+                  np.stack([(p - 1j * q) / 2, e11], axis=1)], axis=1)
+    r = np.ascontiguousarray(e[..., ends, :][..., ends])
+    t = np.trace(e, axis1=3, axis2=4)
+    e.flags.writeable = r.flags.writeable = t.flags.writeable = False
+    return tuple(announcements), e, r, t
+
+
+def _sample_branch_indices(kinds: tuple[str, ...], probs: np.ndarray,
+                           draws: np.ndarray) -> np.ndarray:
+    """Branch indices in run_exact's order, one per row of draws; the one sampler.
+
+    Column j of draws is the draw of bit j, of kind kinds[j]. A measured bit
+    is 1 when u >= P(0 | earlier bits), a coin when u < 1/2. Branch index i
+    has the bits of i, first bit highest; it fits one byte, as do all per-shot
+    arrays but draws.
+    """
+    idx = np.zeros(1, dtype=np.uint8)  # the empty prefix, broadcast over shots
+    for j, kind in enumerate(kinds):
+        if kind == "coin":
+            bit = draws[:, j] < 0.5
+        else:
+            # joint[i, x]: probability of earlier bits i followed by bit x
+            joint = probs.reshape(2**j, 2, -1).sum(axis=2)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                # the empty prefix has probability 1 by definition, not the float sum
+                prefix = joint.sum(axis=1) if j else np.ones(1)
+                cond0 = np.where(prefix > 0, joint[:, 0] / prefix, 0.5)
+            bit = np.zeros(len(draws), dtype=bool)
+            for i, c in enumerate(cond0):  # one threshold per prefix, not a float per shot
+                bit |= (idx == i) & (draws[:, j] >= c)
+        idx = 2 * idx + bit
+    return idx
+
+
 def run_sampled(protocol: ProtocolId, params: ProtocolParams,
                 rng: RngStream) -> tuple[Announcement, DensityOperator]:
-    """One protocol trajectory; announcement bits are drawn in (a, b) order."""
-    [(bits, _, comps)] = _run(protocol, logical_target(build_target(params)), rng)
-    return _announcement(bits), _lift(_output(comps), params.m)
+    """One protocol trajectory, read off the compiled branch maps.
+
+    p_b is T_b at the target's logical amplitudes t. One row of draws, one per
+    announced bit in (a, b) order, picks b; the output is E_b(|t><t|) / p_b,
+    lifted to m qubits. Mutates only rng.
+    """
+    k = min(params.m, 2)
+    announcements, e, _, t = _branch_maps(protocol, k)
+    amps = logical_target(build_target(params)).amplitudes[[0, -1]]
+    conj = amps.conj()
+    probs = np.einsum("i,j,bij->b", amps, conj, t).real
+    if abs(probs.sum() - 1.0) > 1e-9:
+        raise ValueError(f"branch probabilities sum to {probs.sum()}")
+    kinds = DRAW_KINDS[protocol]
+    [b] = _sample_branch_indices(kinds, probs, rng.uniform_block((1, len(kinds))))
+    rho = np.einsum("i,j,ijrc->rc", amps, conj, e[b]) / probs[b]
+    return announcements[b], _lift(DensityOperator(k, rho), params.m)

@@ -4,12 +4,10 @@ import pytest
 from telecert.channels import (
     RngStream,
     measure_branches,
-    measure_sample,
-    random_bit,
     regenerate_zero,
     trash,
 )
-from telecert.statevec import DensityOperator, PureState, basis_state, partial_trace, tensor, to_density
+from telecert.statevec import DensityOperator, PureState, basis_state, partial_trace, to_density
 
 SQ2 = np.sqrt(2)
 PLUS = PureState(1, np.array([1, 1]) / SQ2)
@@ -50,26 +48,6 @@ def test_rng_skip_validation():
         rng.skip(8)
 
 
-def test_random_bit_deterministic_and_fair():
-    rng = RngStream(2024)
-    first = random_bit(rng)
-    assert first == random_bit(RngStream(2024))
-    rng = RngStream(5)
-    mean = np.mean([random_bit(rng) for _ in range(100_000)])
-    assert 0.49 <= mean <= 0.51  # ~6 sigma band for N = 1e5
-
-
-def test_random_bit_independent_of_measurements():
-    rng = RngStream(17)
-    state = tensor(PLUS, basis_state(1, 1))
-    bits_g, bits_m = [], []
-    for _ in range(10_000):
-        bits_m.append(measure_sample(state, 0, rng).bit)
-        bits_g.append(random_bit(rng))
-    corr = np.corrcoef(bits_g, bits_m)[0, 1]
-    assert abs(corr) <= 0.02
-
-
 def test_measure_branches_plus():
     out = measure_branches(PLUS, 0)
     assert [o.bit for o in out] == [0, 1]
@@ -93,23 +71,6 @@ def test_measure_branch_probability_amplitude_oracle():
     p0 = sum(abs(a) ** 2 for i, a in enumerate(state.amplitudes) if not i >> 1)
     assert out[0].probability == pytest.approx(p0, abs=1e-12)
     assert p0 == pytest.approx(0.75, abs=1e-12)
-
-
-def test_measure_sample_certain_and_product():
-    out = measure_sample(basis_state(1, 0), 0, RngStream(0))
-    assert out.bit == 0 and out.probability == 1.0 and out.post_state.num_qubits == 0
-    out = measure_sample(tensor(PLUS, basis_state(1, 1)), 0, RngStream(0))
-    np.testing.assert_allclose(out.post_state.amplitudes, [0, 1], atol=1e-15)
-
-
-def test_measure_sample_frequencies():
-    theta = np.pi / 3
-    state = PureState(1, np.array([np.cos(theta / 2), np.sin(theta / 2)]))
-    rng = RngStream(31)
-    n = 20_000
-    ones = sum(measure_sample(state, 0, rng).bit for _ in range(n))
-    p1 = np.sin(theta / 2) ** 2
-    assert abs(ones / n - p1) <= 4 * np.sqrt(p1 * (1 - p1) / n)
 
 
 def test_trash_examples():

@@ -256,6 +256,24 @@ def test_exit_codes(capsys):
                   "--family", "ghz", "--m", "23", "--self")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 3 and err == "capacity error: m + 2 = 25 exceeds register cap 24\n"
+    # certify and thresholds refuse the (m, family) pairs run refuses, with its messages
+    for argv, want in (
+            (("certify", "--model", "cheating_a", "--m", "0", "--observed", "0.6"),
+             (2, "error: m must be >= 1\n")),
+            (("certify", "--model", "cheating_a", "--m", "-3", "--observed", "0.6"),
+             (2, "error: m must be >= 1\n")),
+            (("certify", "--model", "cheating_a", "--m", "30", "--observed", "0.6"),
+             (3, "capacity error: m + 2 = 32 exceeds register cap 24\n")),
+            (("certify", "--model", "cheating_b", "--criterion", "bloch_postselected",
+              "--family", "bloch", "--m", "2", "--observed", "0.7"),
+             (2, "error: bloch family requires m = 1\n")),
+            (("thresholds", "--m", "2", "--family", "bloch"),
+             (2, "error: bloch family requires m = 1\n"))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == want and out == ""
+        code, _, err = run_cli(capsys, "run", "--m", argv[argv.index("--m") + 1],
+                               "--family", "bloch")
+        assert (code, err) == want
 
 
 def _run_capped(*argv):

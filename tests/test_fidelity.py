@@ -7,7 +7,6 @@ from telecert import fidelity
 from telecert.channels import RngStream
 from telecert.fidelity import (
     CHUNK_SHOTS,
-    _sample_branch_indices,
     bloch_average,
     exact_report,
     exact_threshold,
@@ -22,6 +21,8 @@ from telecert.protocols import (
     InputFamily,
     ProtocolId,
     ProtocolParams,
+    _branch_maps,
+    _sample_branch_indices,
     build_target,
     run_exact,
 )
@@ -213,7 +214,7 @@ def test_average_fidelity_from_entanglement_fidelity(protocol):
     # channel is the announcement sum of the m = 1 maps; f_th is quadratic in
     # the Bloch vector, so 3 Gauss nodes in cos(theta) and 4 midpoints in phi
     # give the sphere average exactly.
-    _, r, _ = fidelity._branch_maps(protocol, 1)
+    _, _, r, _ = _branch_maps(protocol, 1)
     f_e = np.einsum("bijij->", r).real / 4
     u, wu = np.polynomial.legendre.leggauss(3)
     phis = (np.arange(4) + 0.5) * (np.pi / 2)

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from telecert import gates, protocols
 from telecert.channels import RngStream, measure_branches, trash
 from telecert.protocols import (
+    DRAW_KINDS,
     Announcement,
     InputFamily,
     ProtocolId,
     ProtocolParams,
+    _sample_branch_indices,
     build_target,
     run_exact,
     run_sampled,
@@ -38,6 +41,13 @@ def test_build_target_examples():
 
     got = build_target(bloch(np.pi / 2, np.pi))
     np.testing.assert_allclose(got.psi.amplitudes, [1 / SQ2, -1 / SQ2], atol=1e-12)
+
+    # the two amplitudes written directly are ghz_rotation's action on |0..0>
+    for m in (1, 2, 3, 4):
+        for theta in (0.0, 0.7, np.pi / 2, 2.9):
+            want = gates.ghz_rotation(m, theta).entries[:, 0]
+            np.testing.assert_allclose(build_target(ghz(m, theta)).psi.amplitudes, want,
+                                       atol=1e-15)
 
 
 def test_params_validation():
@@ -176,11 +186,11 @@ def _pauli_conjugate(rho, z_pow, x_pow):
 def test_pa1_trash_equals_measure_and_discard():
     # replace A's trash by measure-and-forget on the same pre-measurement
     # state and rebuild the branch outputs; they must match exactly
-    from telecert.protocols import _prefix_state
+    from telecert.protocols import _with_ebit, logical_target
 
     params = ghz(2, 1.3)
     m = params.m
-    state = _prefix_state(params)
+    state = _with_ebit(logical_target(build_target(params)))  # after C's and D's steps
     expected = {(br.announcement.a, br.announcement.b): br
                 for br in run_exact(ProtocolId.PA1, params)}
     for oa in measure_branches(state, m - 1):
@@ -196,7 +206,7 @@ def test_pa1_trash_equals_measure_and_discard():
             np.testing.assert_allclose(corrected_discard, br.output.matrix, atol=1e-12)
 
 
-def test_run_sampled_p0_and_pa2_outputs():
+def test_run_sampled_p0_and_pa2_outputs(monkeypatch):
     target = to_density(build_target(ProtocolParams(m=1, family=InputFamily.TRIVIAL)).psi)
     for seed in (0, 1, 2, 99):
         ann, rho = run_sampled(ProtocolId.P0, ProtocolParams(m=1, family=InputFamily.TRIVIAL),
@@ -204,6 +214,46 @@ def test_run_sampled_p0_and_pa2_outputs():
         np.testing.assert_allclose(rho.matrix, target.matrix, atol=1e-12)
         ann, rho = run_sampled(ProtocolId.PA2, bloch(1.1, 0.2), RngStream(seed))
         np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
+
+    # every protocol: the sampled output is run_exact's output for the drawn announcement
+    cases = [ProtocolParams(m=m, family=InputFamily.TRIVIAL) for m in (1, 2, 3)]
+    cases += [ghz(m, t) for m in (1, 2, 3, 4) for t in (0.0, 0.9, np.pi / 2, 2.4)]
+    cases += [bloch(t, p) for t in (0.0, 1.1, 2.8) for p in (0.0, 0.2, 4.0)]
+    for protocol in ALL_PROTOCOLS:
+        for params in cases:
+            exact = {br.announcement: br for br in run_exact(protocol, params)}
+            rng = RngStream(5)
+            for _ in range(6):
+                ann, rho = run_sampled(protocol, params, rng)
+                assert rho.num_qubits == params.m
+                np.testing.assert_allclose(rho.matrix, exact[ann].output.matrix, atol=1e-12)
+
+    # m = 22: a dense lift would hold 2^44 entries, so record what is lifted
+    monkeypatch.setattr(protocols, "_lift", lambda rho, m: (rho, m))
+    for protocol in ALL_PROTOCOLS:
+        params = ghz(22, 1.7)
+        exact = {br.announcement: br for br in run_exact(protocol, params)}
+        ann, (logical, m) = run_sampled(protocol, params, RngStream(3))
+        assert m == 22
+        np.testing.assert_allclose(logical.matrix, exact[ann].logical.matrix, atol=1e-12)
+
+
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+@pytest.mark.parametrize("params", [ghz(1, 0.9), ghz(2, 1.3), ghz(3, 2.2), bloch(1.1, 0.4)],
+                         ids=["ghz1", "ghz2", "ghz3", "bloch"])
+def test_run_sampled_reads_one_row_per_trajectory(protocol, params):
+    # successive trajectories of one stream announce what the Monte Carlo
+    # sampler gives on one uniform block of the same stream, row by row
+    n, seed = 300, 31
+    branches = run_exact(protocol, params)
+    kinds = DRAW_KINDS[protocol]
+    assert 2 ** len(kinds) == len(branches)  # one draw per announced bit
+    probs = np.array([br.probability for br in branches])
+    want = _sample_branch_indices(kinds, probs, RngStream(seed).uniform_block((n, len(kinds))))
+    rng = RngStream(seed)
+    got = [run_sampled(protocol, params, rng)[0] for _ in range(n)]
+    assert got == [branches[i].announcement for i in want]
+    assert rng.draws == n * len(kinds)
 
 
 def test_run_sampled_deterministic_for_fixed_seed():
