@@ -1,10 +1,12 @@
 """Certificate decisions: observed fidelity + adversary model -> issue/deny.
 
-A certificate is issued only on strict exceedance (observed > threshold):
-under "meets the bar" a perfect classical cheater would be certified, so the
-boundary goes to the adversary. Consequently the honest certificate
-(Certificate 1, fidelity threshold exactly 1) can never be issued; it is kept
-for completeness.
+A certificate is issued only when observed > threshold + ATOL_CONSTRUCT
+(1e-12), for either source: under "meets the bar" a perfect classical cheater
+would be certified, so the boundary goes to the adversary, and the margin
+keeps a computed threshold that rounding puts an ulp below a cheat's exact
+optimum (0.4999999999999999 for pb's 1/2) from certifying that optimum.
+Consequently the honest certificate (Certificate 1, fidelity threshold
+exactly 1) can never be issued; it is kept for completeness.
 
 Thresholds come from two sources. "tabulated" uses the historical constants
 (1, 1/2, 3/8, 3/16, 2/3). "computed" derives the bound from this simulator's
@@ -26,6 +28,7 @@ import numpy as np
 
 from . import fidelity as fid
 from .protocols import InputFamily, ProtocolId, ProtocolParams
+from .statevec import ATOL_CONSTRUCT
 
 
 class Adversary(Enum):
@@ -150,8 +153,8 @@ def decide(observed: float, model: AdversaryModel, m: int = 1,
            criterion: Criterion = Criterion.POINTWISE) -> CertificateDecision:
     """Issue or deny the certificate matching the adversary model.
 
-    The verdict is issue exactly when observed strictly exceeds the selected
-    threshold, so it is monotone in the observation.
+    The verdict is issue exactly when observed exceeds the selected threshold
+    by more than ATOL_CONSTRUCT, so it is monotone in the observation.
     """
     ProtocolParams(m=m, family=family)  # raises for a pair no run accepts
     if not (0.0 <= observed <= 1.0) or math.isnan(observed):
@@ -161,7 +164,7 @@ def decide(observed: float, model: AdversaryModel, m: int = 1,
     if criterion is Criterion.BLOCH_POSTSELECTED and family is not InputFamily.BLOCH:
         raise ValueError("bloch_postselected criterion applies to the bloch family (m=1)")
     threshold, provenance = select_threshold(model, criterion, m)
-    verdict = "issue" if observed > threshold else "deny"
+    verdict = "issue" if observed > threshold + ATOL_CONSTRUCT else "deny"
     return CertificateDecision(_CERT_ID[model.adversary], observed, threshold,
                                verdict, provenance, criterion.value)
 

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: run, sweep, average, certify, enumerate, thresholds. Angles are
-radians. Flags override config-file entries (--config, KEY=VALUE lines, same
-keys as the long flags), which override the TELECERT_SEED environment
-variable for the seed. Output is deterministic for a fixed (config, seed):
-no timestamps, canonical JSON key order, full-precision floats.
+radians. A config file (--config, KEY=VALUE lines, same keys as the long
+flags) is parsed as those flags placed before the command line's own, so
+flags win and a bad key or value exits 2 as the flag would; TELECERT_SEED
+gives a seed neither gives. Output is deterministic for a fixed (config,
+seed): no timestamps, canonical JSON key order, full-precision floats.
 
 Exit codes: 0 success, 2 configuration error, 3 register capacity exceeded
 or memory exhausted.
@@ -39,8 +40,9 @@ SEED_ENV = "TELECERT_SEED"
 F_TH_DEFINITION = "sum over announcements of probability-weighted target overlap"
 
 
-def _read_config(path: str) -> dict[str, str]:
-    cfg = {}
+def _config_tokens(path: str) -> list[str]:
+    """A config file's KEY=VALUE lines as --key=value flags; self=true is --self."""
+    tokens = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -49,37 +51,23 @@ def _read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
             key, _, value = line.partition("=")
-            cfg[key.strip().lower().replace("-", "_")] = value.strip()
-    return cfg
+            key, value = key.strip().lower().replace("_", "-"), value.strip()
+            if key == "self" and value.lower() in ("0", "false", "no"):
+                continue  # --self takes no value; any other one is refused as --self=value
+            truthy = key == "self" and value.lower() in ("1", "true", "yes")
+            tokens.append("--self" if truthy else f"--{key}={value}")
+    return tokens
 
 
-_CONFIG_TYPES = {
-    "m": int, "points": int, "shots": int, "seed": int, "threads": int,
-    "theta": float, "phi": float, "theta_start": float, "theta_stop": float,
-    "observed": float,
-    "self_evaluate": lambda s: s.strip().lower() in ("1", "true", "yes"),
-}
-_CONFIG_ALIASES = {"self": "self_evaluate"}
-
-
-def _explicit_flags(argv: list[str]) -> set[str]:
-    out = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            name = tok[2:].split("=", 1)[0].replace("-", "_")
-            out.add(_CONFIG_ALIASES.get(name, name))
-    return out
-
-
-def _merge_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
-    """Fill flags not given on the command line from the config file, then env."""
-    explicit = _explicit_flags(argv)
-    if getattr(args, "config", None):
-        for key, value in _read_config(args.config).items():
-            dest = _CONFIG_ALIASES.get(key, key)
-            if dest in explicit or not hasattr(args, dest):
-                continue
-            setattr(args, dest, _CONFIG_TYPES.get(dest, str)(value))
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the --config file's flags right after the subcommand, then TELECERT_SEED."""
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", nargs="?")  # a missing value is the full parse's error
+    path = config.parse_known_args(argv)[0].config
+    if path:
+        # argv[0] is the subcommand: no top-level option takes a value
+        argv = argv[:1] + _config_tokens(path) + argv[1:]
+    args = parser.parse_args(argv)
     if getattr(args, "seed", None) is None and os.environ.get(SEED_ENV):
         args.seed = int(os.environ[SEED_ENV])
     return args
@@ -169,6 +157,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     protocol = ProtocolId.parse(args.protocol)
+    for theta in (args.theta_start, args.theta_stop):  # before linspace, which warns on inf
+        ProtocolParams(m=args.m, family=InputFamily.GHZ, theta=theta)
     grid = np.linspace(args.theta_start, args.theta_stop, args.points)
     points = theta_sweep(protocol, args.m, grid)
     payload = {
@@ -235,16 +225,10 @@ def cmd_certify(args) -> int:
 def cmd_enumerate(args) -> int:
     params = _params_from(args)
     protocol = ProtocolId.parse(args.protocol)
-    branches = run_exact(protocol, params)
-    rows = []
-    for br in branches:
-        rows.append({
-            "a": br.announcement.a,
-            "b": br.announcement.b,
-            "probability": br.probability,
-            "output_trace": None if br.logical is None else br.logical.trace,
-            "subnormalized_trace": br.probability,
-        })
+    rows = [{"a": br.announcement.a, "b": br.announcement.b, "probability": br.probability,
+             "output_trace": None if br.logical is None else br.logical.trace,
+             "subnormalized_trace": br.probability}
+            for br in run_exact(protocol, params)]
     payload = {
         "protocol": protocol.value,
         "m": params.m,
@@ -333,8 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        args = _merge_config(args, argv)
+        args = _parse(parser, argv)
         return args.func(args)
     except (CapacityError, MemoryError) as exc:
         print(f"capacity error: {exc}", file=sys.stderr)

@@ -5,16 +5,16 @@ The threshold fidelity of a protocol run is the announcement sum
     f_th = sum_branches probability * <target| output |target>,
 
 i.e. the plain sum of target overlaps with the sub-normalized branch
-operators. Exact values at one point (exact_report, theta_sweep) come from
-branch enumeration by the interpreter. Averages over angles (theta_average,
-bloch_average) and the curve behind computed thresholds (theta_curve) read
-the per-announcement linear maps E_b that protocols._branch_maps compiles
-from four interpreter runs per (protocol, k = min(m, 2)): every angle is one
-quartic form in the two target amplitudes. Monte Carlo estimates draw
-announcements through protocols._sample_branch_indices, the sampler
-run_sampled uses, at exact_report's branch probabilities, and are reduced
-through outcome tallies, so results are deterministic for a fixed seed
-regardless of thread count.
+operators. Every grid of exact values (theta_sweep and theta_curve, the curve
+behind computed thresholds; theta_average, bloch_average) is one contraction
+of the per-announcement linear maps E_b that protocols._branch_maps compiles
+from four interpreter runs per (protocol, k = min(m, 2)), through
+protocols._compiled_branches. exact_report enumerates the branches at one
+point with the interpreter (run_exact); it is the reference the maps are
+tested against. Monte Carlo estimates draw announcements through
+protocols._sample_branch_indices, the sampler run_sampled uses, at
+exact_report's branch probabilities, and are reduced through outcome tallies,
+so results are deterministic for a fixed seed regardless of thread count.
 """
 from __future__ import annotations
 
@@ -34,13 +34,14 @@ from .protocols import (
     ProtocolId,
     ProtocolParams,
     TargetState,
-    _branch_maps,
+    _compiled_branches,
     _sample_branch_indices,
     build_target,
     logical_target,
     run_exact,
+    target_amplitudes,
 )
-from .statevec import ATOL_CONSTRUCT, expectation
+from .statevec import expectation
 
 
 @dataclass(frozen=True)
@@ -89,12 +90,9 @@ def exact_threshold(protocol: ProtocolId, params: ProtocolParams) -> float:
 
 
 def theta_sweep(protocol: ProtocolId, m: int, grid) -> list[tuple[float, float]]:
-    """Pointwise exact f_th over a theta grid (GHZ input family)."""
-    out = []
-    for theta in grid:
-        params = ProtocolParams(m=m, family=InputFamily.GHZ, theta=float(theta))
-        out.append((float(theta), exact_threshold(protocol, params)))
-    return out
+    """(theta, f_th) at each theta of a grid (GHZ input family), from theta_curve."""
+    thetas = np.asarray(grid, dtype=float)
+    return list(zip(thetas.tolist(), theta_curve(protocol, m, thetas).tolist()))
 
 
 def _parse_quadrature(text: str) -> tuple[str, int]:
@@ -118,42 +116,12 @@ def theta_nodes(quadrature: str = "gauss:64") -> tuple[np.ndarray, np.ndarray]:
     return thetas, np.full(n, 1.0 / n)
 
 
-def _compiled_branches(protocol: ProtocolId, m: int, amps: np.ndarray
-                       ) -> tuple[tuple[Announcement, ...], np.ndarray, np.ndarray]:
-    """p_b and p_b * f_b at logical amplitude pairs amps[n] = (alpha, beta).
-
-    Reads _branch_maps: one contraction gives every node and branch. Applies
-    the per-point checks of exact_report once per grid: m is validated as
-    ProtocolParams does, f_th stays in [0, 1], the overlap's imaginary residue
-    is at most ATOL_CONSTRUCT and each node's branch probabilities sum to 1.
-    """
-    ProtocolParams(m=m, family=InputFamily.GHZ)  # raises for an m no run accepts
-    announcements, _, r, t = _branch_maps(protocol, min(m, 2))
-    conj = amps.conj()
-    p = np.einsum("ni,nj,bij->nb", amps, conj, t).real
-    pf = np.einsum("nr,ni,nj,nc,bijrc->nb", conj, amps, conj, amps, r)
-    residue = np.max(np.abs(pf.imag), initial=0.0)
-    if residue > ATOL_CONSTRUCT:
-        raise ValueError(f"expectation has imaginary residue {residue}")
-    pf = pf.real
-    f_th = pf.sum(axis=1)
-    if not np.all((-1e-12 <= f_th) & (f_th <= 1 + 1e-12)):
-        raise ValueError(f"threshold fidelity outside [0, 1]: {f_th.min()}, {f_th.max()}")
-    total = p.sum(axis=1)
-    if np.any(np.abs(total - 1.0) > 1e-9):
-        raise ValueError(f"branch probabilities sum to {total[np.argmax(np.abs(total - 1.0))]}")
-    return announcements, p, pf
-
-
 def theta_curve(protocol: ProtocolId, m: int, thetas) -> np.ndarray:
     """f_th(theta) at each theta of a grid (GHZ family), read off the compiled branch maps.
 
-    Agrees with theta_sweep to rounding (a few ulp); theta_sweep runs the
-    interpreter at every point and is the per-point reference.
+    Agrees with exact_threshold, the per-point reference, to rounding (a few ulp).
     """
-    half = np.asarray(thetas, dtype=float) / 2
-    amps = np.stack([np.cos(half), np.sin(half)], axis=1)
-    _, _, pf = _compiled_branches(protocol, m, amps)
+    _, _, pf = _compiled_branches(protocol, m, target_amplitudes(InputFamily.GHZ, thetas))
     return pf.sum(axis=1)
 
 
@@ -219,9 +187,8 @@ def bloch_average(protocol: ProtocolId, postselect: int | None = None,
     phis = (np.arange(phi_nodes_n) + 0.5) * (2 * np.pi / phi_nodes_n)
 
     # nodes in (theta, phi) order, phi fastest: the order of the sums below
-    half = np.repeat(np.arccos(u), phi_nodes_n) / 2
-    phase = np.exp(1j * np.tile(phis, theta_nodes_n))
-    amps = np.stack([np.cos(half), np.sin(half) * phase], axis=1)
+    amps = target_amplitudes(InputFamily.BLOCH, np.repeat(np.arccos(u), phi_nodes_n),
+                             np.tile(phis, theta_nodes_n))
     weights = np.repeat(wu / phi_nodes_n, phi_nodes_n)
     announcements, p, pf = _compiled_branches(protocol, 1, amps)
 

@@ -33,11 +33,15 @@ equivalent to any interleaving (the test suite checks this against an
 independent simulation that orders B first).
 
 One interpreter, _run, runs the table on a logical target and keeps both
-outcomes of every measure and coin; run_exact is one run. Branch outputs are
-linear in the input (Nielsen & Chuang, section 8.2), so _branch_maps caches
-each protocol's per-announcement maps E_b from four runs. run_sampled reads
-p_b and E_b off them and draws one RngStream row, one draw per announced bit,
-through _sample_branch_indices, the one sampler, which Monte Carlo also uses.
+outcomes of every measure and coin; run_exact (one point, the reference) and
+_branch_maps are its callers. Branch outputs are linear in the input (Nielsen
+& Chuang, section 8.2), so _branch_maps caches each protocol's
+per-announcement maps E_b from four runs. _compiled_branches (grids) and
+run_sampled (one trajectory) evaluate them at target_amplitudes, the one
+writer of a target's two logical amplitudes, and read p_b through
+_branch_probabilities, the one probability-sum check. run_sampled draws one
+RngStream row, one draw per announced bit, through _sample_branch_indices,
+the one sampler, which Monte Carlo also uses.
 """
 from __future__ import annotations
 
@@ -51,6 +55,7 @@ import numpy as np
 from . import gates
 from .channels import RngStream, _project, measure_branches
 from .statevec import (
+    ATOL_CONSTRUCT,
     CapacityError,
     DensityOperator,
     PureState,
@@ -170,20 +175,33 @@ class TargetState:
     psi: PureState
 
 
+def target_amplitudes(family: InputFamily, theta, phi=0.0) -> np.ndarray:
+    """The logical pair (cos(theta/2), e^(i phi) sin(theta/2)) of a family's target, per angle.
+
+    The one writer of target amplitudes; theta and phi broadcast. GHZ has
+    phi = 0 and the trivial family theta = 0. Non-finite angles raise as in
+    ProtocolParams.
+    """
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    for name, value in (("theta", theta), ("phi", phi)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value[~np.isfinite(value)].flat[0]}")
+    half = np.zeros_like(theta) if family is InputFamily.TRIVIAL else theta / 2
+    amps = np.empty(np.broadcast(theta, phi).shape + (2,), dtype=complex)
+    amps[..., 0] = np.cos(half)
+    amps[..., 1] = np.sin(half) * np.exp(1j * phi) if family is InputFamily.BLOCH else np.sin(half)
+    return amps
+
+
 def build_target(params: ProtocolParams) -> TargetState:
     """The m-qubit state C prepares and later compares against.
 
-    GHZ and Bloch targets are cos(theta/2)|0..0> + e^(i phi) sin(theta/2)|1..1>
-    (phi = 0 for GHZ), the action of gates.ghz_rotation / gates.bloch_rotation
-    on |0..0>, written directly from their two amplitudes.
+    Its only weight is target_amplitudes on |0..0> and |1..1>, the action of
+    gates.ghz_rotation / gates.bloch_rotation on |0..0>.
     """
-    m = params.m
-    if params.family is InputFamily.TRIVIAL:
-        return TargetState(basis_state(m))
-    phase = np.exp(1j * params.phi) if params.family is InputFamily.BLOCH else 1.0
-    amps = np.zeros(2**m, dtype=complex)
-    amps[0], amps[-1] = np.cos(params.theta / 2), np.sin(params.theta / 2) * phase
-    return TargetState(PureState(m, amps))
+    amps = np.zeros(2**params.m, dtype=complex)
+    amps[[0, -1]] = target_amplitudes(params.family, params.theta, params.phi)
+    return TargetState(PureState(params.m, amps))
 
 
 def _support(m: int) -> list[int]:
@@ -349,6 +367,37 @@ def _branch_maps(protocol: ProtocolId, k: int) -> tuple[tuple[Announcement, ...]
     return tuple(announcements), e, r, t
 
 
+def _branch_probabilities(protocol: ProtocolId, m: int, amps: np.ndarray) -> np.ndarray:
+    """p[n, b] = T_b at amplitude pairs amps[n]; checks m as ProtocolParams does and sum_b p = 1."""
+    ProtocolParams(m=m, family=InputFamily.GHZ)  # raises for an m no run accepts
+    _, _, _, t = _branch_maps(protocol, min(m, 2))
+    p = np.einsum("ni,nj,bij->nb", amps, amps.conj(), t).real
+    error = np.abs(p.sum(axis=1) - 1.0)
+    if error.max(initial=0.0) > 1e-9:
+        raise ValueError(f"branch probabilities sum to {p.sum(axis=1)[error.argmax()]}")
+    return p
+
+
+def _compiled_branches(protocol: ProtocolId, m: int, amps: np.ndarray
+                       ) -> tuple[tuple[Announcement, ...], np.ndarray, np.ndarray]:
+    """p_b and p_b * f_b at amplitude pairs amps[n]: exact_report's checks, once per grid.
+
+    Adds f_th in [0, 1] and an imaginary overlap residue <= ATOL_CONSTRUCT.
+    """
+    p = _branch_probabilities(protocol, m, amps)
+    announcements, _, r, _ = _branch_maps(protocol, min(m, 2))
+    conj = amps.conj()
+    pf = np.einsum("nr,ni,nj,nc,bijrc->nb", conj, amps, conj, amps, r)
+    residue = np.max(np.abs(pf.imag), initial=0.0)
+    if residue > ATOL_CONSTRUCT:
+        raise ValueError(f"expectation has imaginary residue {residue}")
+    pf = pf.real
+    f_th = pf.sum(axis=1)
+    if not np.all((-1e-12 <= f_th) & (f_th <= 1 + 1e-12)):
+        raise ValueError(f"threshold fidelity outside [0, 1]: {f_th.min()}, {f_th.max()}")
+    return announcements, p, pf
+
+
 def _sample_branch_indices(kinds: tuple[str, ...], probs: np.ndarray,
                            draws: np.ndarray) -> np.ndarray:
     """Branch indices in run_exact's order, one per row of draws; the one sampler.
@@ -385,13 +434,10 @@ def run_sampled(protocol: ProtocolId, params: ProtocolParams,
     lifted to m qubits. Mutates only rng.
     """
     k = min(params.m, 2)
-    announcements, e, _, t = _branch_maps(protocol, k)
-    amps = logical_target(build_target(params)).amplitudes[[0, -1]]
-    conj = amps.conj()
-    probs = np.einsum("i,j,bij->b", amps, conj, t).real
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError(f"branch probabilities sum to {probs.sum()}")
+    announcements, e, _, _ = _branch_maps(protocol, k)
+    amps = target_amplitudes(params.family, params.theta, params.phi)
+    [probs] = _branch_probabilities(protocol, params.m, amps[None])
     kinds = DRAW_KINDS[protocol]
     [b] = _sample_branch_indices(kinds, probs, rng.uniform_block((1, len(kinds))))
-    rho = np.einsum("i,j,ijrc->rc", amps, conj, e[b]) / probs[b]
+    rho = np.einsum("i,j,ijrc->rc", amps, amps.conj(), e[b]) / probs[b]
     return announcements[b], _lift(DensityOperator(k, rho), params.m)

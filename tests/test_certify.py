@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from telecert import certify
 from telecert.certify import (
     Adversary,
     AdversaryModel,
@@ -10,8 +11,8 @@ from telecert.certify import (
     self_threshold,
     threshold_table,
 )
-from telecert.fidelity import theta_sweep
-from telecert.protocols import InputFamily, ProtocolId
+from telecert.fidelity import exact_threshold
+from telecert.protocols import InputFamily, ProtocolId, ProtocolParams
 
 TAB = AdversaryModel(Adversary.CHEATING_A, ThresholdSource.TABULATED)
 
@@ -69,6 +70,34 @@ def test_self_defeating_cheats_are_denied():
             assert d.verdict == "deny", (adversary, criterion)
 
 
+# Each cheat's closed-form optimum per criterion, at the (family, m) it is read at.
+CHEAT_OPTIMA = [
+    (adversary, criterion, family, m, optimum)
+    for adversary in (Adversary.CHEATING_A, Adversary.CHEATING_B, Adversary.CHEATING_AB)
+    for criterion, family, m, optimum in (
+        (Criterion.POINTWISE, InputFamily.GHZ, 2, 1 / 2),
+        (Criterion.THETA_AVERAGE, InputFamily.GHZ, 2, 3 / 8),
+        (Criterion.BLOCH_POSTSELECTED, InputFamily.BLOCH, 1, 2 / 3))
+    if (adversary, criterion) in certify._TABULATED
+]
+
+
+@pytest.mark.parametrize("source", list(ThresholdSource))
+@pytest.mark.parametrize("adversary, criterion, family, m, optimum", CHEAT_OPTIMA)
+def test_cheat_optimum_is_denied_and_beaten_by_1e9_issued(adversary, criterion, family, m,
+                                                          optimum, source):
+    # a computed threshold may sit an ulp below the optimum (0.4999999999999999
+    # for pb); the boundary still goes to the adversary. The tabulated B-cheat
+    # average is 3/16, half the optimum (see the strict xfails), so its
+    # boundary is 3/16.
+    if source is ThresholdSource.TABULATED:
+        optimum = certify._TABULATED[(adversary, criterion)][0]
+    model = AdversaryModel(adversary, source)
+    kw = dict(m=m, family=family, criterion=criterion)
+    assert decide(optimum, model, **kw).verdict == "deny"
+    assert decide(optimum + 1e-9, model, **kw).verdict == "issue"
+
+
 def test_decide_monotone_in_observed():
     rng = np.random.default_rng(2)
     for model in (AdversaryModel(Adversary.CHEATING_A), AdversaryModel(Adversary.CHEATING_B)):
@@ -120,9 +149,10 @@ def test_threshold_table_m2_ghz_averaged():
     (Adversary.CHEATING_AB, (ProtocolId.PAB,)),
 ])
 def test_computed_pointwise_threshold_matches_theta_sweep(adversary, protocols):
-    # the computed threshold reads compiled maps; theta_sweep runs the
-    # interpreter at each of the same 33 angles
+    # the computed threshold reads compiled maps, as theta_sweep does; the
+    # reference runs the interpreter at each of the same 33 angles
     grid = np.linspace(0, np.pi, 33)
     for m in (1, 2, 3, 8):
-        want = max(f for p in protocols for _, f in theta_sweep(p, m, grid))
+        want = max(exact_threshold(p, ProtocolParams(m=m, family=InputFamily.GHZ, theta=t))
+                   for p in protocols for t in grid)
         assert abs(self_threshold(adversary, Criterion.POINTWISE, m) - want) <= 1e-12

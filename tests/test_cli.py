@@ -3,8 +3,10 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -214,6 +216,34 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert json.loads(out)["f_th"] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_config_entries_parse_as_flags(tmp_path, capsys):
+    # a config entry is the flag it names: choices, types and unknown names
+    # exit 2 as on the command line
+    run = ("run", "--protocol", "p0", "--m", "1")
+    certify = ("certify", "--model", "cheating_a", "--m", "1", "--observed", "0.6")
+    for argv, text in ((run, "mode=exaxt\nseed=3\nshots=1000\n"), (run, "thetta=1.0\n"),
+                       (run, "m=two\n"), (certify, "self=ture\n")):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+    # an explicit flag wins over the file, abbreviated or not, before or after --config
+    cfg = tmp_path / "certify.cfg"
+    cfg.write_text("observed=0.3\n")
+    for argv in (("--obs", "0.9", "--config", str(cfg)), ("--config", str(cfg), "--observed", "0.9")):
+        code, out, _ = run_cli(capsys, "certify", "--model", "cheating_a", "--m", "1", *argv)
+        assert code == 0 and json.loads(out)["verdict"] == "issue"
+    # required flags and --self may come from the file
+    cfg.write_text("model=cheating_b\ncriterion=theta_average\nfamily=ghz\nm=2\nself=yes\n")
+    code, out, _ = run_cli(capsys, "certify", "--config", str(cfg))
+    assert code == 0 and json.loads(out)["self_evaluation"] is True
+    cfg.write_text("self=no\n")
+    code, out, _ = run_cli(capsys, *certify, "--config", str(cfg))
+    assert code == 0 and json.loads(out)["self_evaluation"] is False
+
+
 def test_seed_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("TELECERT_SEED", "33")
     code, out, _ = run_cli(capsys, "run", "--protocol", "pa1", "--m", "1",
@@ -246,6 +276,16 @@ def test_exit_codes(capsys):
     assert code == 2 and err == "error: theta must be finite, got nan\n"
     code, _, err = run_cli(capsys, "run", "--phi", "inf")
     assert code == 2 and err == "error: phi must be finite, got inf\n"
+    # sweep bounds are checked before the grid is built: no linspace warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (("--theta-stop", "inf"), ("--theta-start", "nan")):
+            code, out, err = run_cli(capsys, "sweep", *argv)
+            assert code == 2 and out == "" and err.count("\n") == 1
+            assert "theta must be finite" in err
+    # an empty grid still validates m
+    code, _, err = run_cli(capsys, "sweep", "--m", "0", "--points", "0")
+    assert code == 2 and err == "error: m must be >= 1\n"
     # averages and computed thresholds read compiled maps, not per-point
     # ProtocolParams; they must still refuse the m those would refuse
     for argv in (("average", "--m", "0"), ("thresholds", "--m", "0", "--family", "ghz")):
@@ -319,6 +359,34 @@ def test_pa2_runs_without_register_density(m):
     assert proc.returncode == 0 and proc.stderr == ""
     f_th = json.loads(proc.stdout)["f_th"]
     assert f_th == pytest.approx(0.5 - math.sin(1.0) ** 2 / 4, abs=1e-12)
+
+
+def test_sweep_at_m22_runs_capped():
+    # a sweep reads the compiled maps: no 2^22-amplitude target per point
+    proc = _run_capped("sweep", "--protocol", "pa1", "--m", "22", "--points", "10000")
+    assert proc.returncode == 0 and proc.stderr == ""
+    points = json.loads(proc.stdout)["points"]
+    assert len(points) == 10000
+    assert all(abs(p["f_th"] - (0.5 - math.sin(p["theta"]) ** 2 / 4)) <= 1e-12 for p in points)
+
+
+def _readme_commands():
+    """Each telecert command in README's "Command line" block, continuations joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("telecert ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: " ".join(argv[:3]))
+def test_readme_command_runs(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if "csv" in argv:
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows and all(None not in r.values() for r in rows)
+    else:
+        json.loads(out)
 
 
 def test_missing_config_file(capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from telecert import gates, protocols
+from telecert import fidelity, gates, protocols
 from telecert.channels import RngStream, measure_branches, trash
 from telecert.protocols import (
     DRAW_KINDS,
@@ -48,6 +48,22 @@ def test_build_target_examples():
             want = gates.ghz_rotation(m, theta).entries[:, 0]
             np.testing.assert_allclose(build_target(ghz(m, theta)).psi.amplitudes, want,
                                        atol=1e-15)
+
+
+def test_target_amplitudes_grid_and_non_finite_angles():
+    # one call over a grid writes each point's pair, bitwise, as build_target does
+    thetas, phis = np.array([0.0, 1.0, -7.0, 9.5]), np.array([0.5, 2.0, -3.0, 0.0])
+    for family in InputFamily:
+        got = protocols.target_amplitudes(family, thetas, phis)
+        for theta, phi, pair in zip(thetas, phis, got):
+            want = build_target(ProtocolParams(m=1, family=family, theta=theta, phi=phi))
+            assert pair.tolist() == want.psi.amplitudes.tolist()
+    # ProtocolParams's message, also where a grid bypasses ProtocolParams
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"^theta must be finite, got {bad}$"):
+            fidelity.theta_curve(ProtocolId.PA1, 2, [0.1, bad])
+        with pytest.raises(ValueError, match=f"^phi must be finite, got {bad}$"):
+            protocols.target_amplitudes(InputFamily.BLOCH, 0.1, bad)
 
 
 def test_params_validation():
