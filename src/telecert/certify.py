@@ -71,6 +71,10 @@ class AdversaryModel:
     threshold_source: ThresholdSource = ThresholdSource.TABULATED
 
 
+# the rule for issuing a certificate, as certify reports it
+COMPARISON = f"greater-than-threshold-plus-{ATOL_CONSTRUCT:g}"
+
+
 @dataclass(frozen=True)
 class CertificateDecision:
     certificate: int           # certificate 1 (honest), 3 (A), 4 (B), 5 (A and B)
@@ -79,7 +83,7 @@ class CertificateDecision:
     verdict: str               # "issue" | "deny"
     provenance: str
     criterion: str
-    comparison: str = "strict-greater"
+    comparison: str = COMPARISON
 
 
 _CERT_ID = {

@@ -34,6 +34,7 @@ from .protocols import (
     ProtocolId,
     ProtocolParams,
     TargetState,
+    _bit_thresholds,
     _compiled_branches,
     _sample_branch_indices,
     build_target,
@@ -89,9 +90,17 @@ def exact_threshold(protocol: ProtocolId, params: ProtocolParams) -> float:
     return exact_report(protocol, params).f_th
 
 
+def _theta_grid(thetas) -> np.ndarray:
+    """Angles as a one-dimensional float array; a scalar is a one-point grid."""
+    grid = np.asarray(thetas, dtype=float)
+    if grid.ndim > 1:
+        raise ValueError(f"theta grid must be a scalar or one-dimensional, got shape {grid.shape}")
+    return np.atleast_1d(grid)
+
+
 def theta_sweep(protocol: ProtocolId, m: int, grid) -> list[tuple[float, float]]:
     """(theta, f_th) at each theta of a grid (GHZ input family), from theta_curve."""
-    thetas = np.asarray(grid, dtype=float)
+    thetas = _theta_grid(grid)
     return list(zip(thetas.tolist(), theta_curve(protocol, m, thetas).tolist()))
 
 
@@ -119,9 +128,11 @@ def theta_nodes(quadrature: str = "gauss:64") -> tuple[np.ndarray, np.ndarray]:
 def theta_curve(protocol: ProtocolId, m: int, thetas) -> np.ndarray:
     """f_th(theta) at each theta of a grid (GHZ family), read off the compiled branch maps.
 
-    Agrees with exact_threshold, the per-point reference, to rounding (a few ulp).
+    A scalar gives a one-point curve. Agrees with exact_threshold, the
+    per-point reference, to rounding (a few ulp).
     """
-    _, _, pf = _compiled_branches(protocol, m, target_amplitudes(InputFamily.GHZ, thetas))
+    amps = target_amplitudes(InputFamily.GHZ, _theta_grid(thetas))
+    _, _, pf = _compiled_branches(protocol, m, amps)
     return pf.sum(axis=1)
 
 
@@ -233,13 +244,13 @@ def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: i
     per_branch = exact_report(protocol, params).per_branch
     kinds = DRAW_KINDS[protocol]
     fids = np.array([bf.fidelity for bf in per_branch])
-    probs = np.array([bf.probability for bf in per_branch])
+    thresholds = _bit_thresholds(kinds, np.array([bf.probability for bf in per_branch]))
 
     def tally_chunk(start):  # no np.bincount: it would copy idx to 8-byte integers
         rng = RngStream(seed)
         rng.skip(start * len(kinds))
         draws = rng.uniform_block((min(CHUNK_SHOTS, shots - start), len(kinds)))
-        idx = _sample_branch_indices(kinds, probs, draws)
+        idx = _sample_branch_indices(thresholds, draws)
         return np.array([np.count_nonzero(idx == i) for i in range(len(per_branch))])
 
     starts = range(0, shots, CHUNK_SHOTS)

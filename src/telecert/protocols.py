@@ -39,9 +39,18 @@ _branch_maps are its callers. Branch outputs are linear in the input (Nielsen
 per-announcement maps E_b from four runs. _compiled_branches (grids) and
 run_sampled (one trajectory) evaluate them at target_amplitudes, the one
 writer of a target's two logical amplitudes, and read p_b through
-_branch_probabilities, the one probability-sum check. run_sampled draws one
-RngStream row, one draw per announced bit, through _sample_branch_indices,
-the one sampler, which Monte Carlo also uses.
+_branch_probabilities, the one probability-sum check.
+
+run_sampled reads a per-target trajectory table, _trajectory_table, an LRU
+cache of at most 256 (protocol, params) entries beside _branch_maps. An entry
+holds the target's amplitudes, p_b and the sampler's per-bit thresholds
+(_bit_thresholds), each computed and checked once, and each branch's
+validated logical output, built on the first call that draws that branch and
+never before: a branch that is never drawn may have p_b = 0 and no output.
+A call then draws one RngStream row, one draw per announced bit, through
+_sample_branch_indices, the one sampler, which Monte Carlo also uses with
+thresholds computed once per estimate, and lifts the drawn output to m
+qubits.
 """
 from __future__ import annotations
 
@@ -184,8 +193,9 @@ def target_amplitudes(family: InputFamily, theta, phi=0.0) -> np.ndarray:
     """
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     for name, value in (("theta", theta), ("phi", phi)):
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite, got {value[~np.isfinite(value)].flat[0]}")
+        finite = np.isfinite(value)
+        if np.count_nonzero(finite) < finite.size:  # cheaper than .all() on one angle
+            raise ValueError(f"{name} must be finite, got {value[~finite].flat[0]}")
     half = np.zeros_like(theta) if family is InputFamily.TRIVIAL else theta / 2
     amps = np.empty(np.broadcast(theta, phi).shape + (2,), dtype=complex)
     amps[..., 0] = np.cos(half)
@@ -367,10 +377,8 @@ def _branch_maps(protocol: ProtocolId, k: int) -> tuple[tuple[Announcement, ...]
     return tuple(announcements), e, r, t
 
 
-def _branch_probabilities(protocol: ProtocolId, m: int, amps: np.ndarray) -> np.ndarray:
-    """p[n, b] = T_b at amplitude pairs amps[n]; checks m as ProtocolParams does and sum_b p = 1."""
-    ProtocolParams(m=m, family=InputFamily.GHZ)  # raises for an m no run accepts
-    _, _, _, t = _branch_maps(protocol, min(m, 2))
+def _branch_probabilities(t: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """p[n, b] = T_b at amplitude pairs amps[n], T from _branch_maps; checks sum_b p = 1."""
     p = np.einsum("ni,nj,bij->nb", amps, amps.conj(), t).real
     error = np.abs(p.sum(axis=1) - 1.0)
     if error.max(initial=0.0) > 1e-9:
@@ -382,10 +390,12 @@ def _compiled_branches(protocol: ProtocolId, m: int, amps: np.ndarray
                        ) -> tuple[tuple[Announcement, ...], np.ndarray, np.ndarray]:
     """p_b and p_b * f_b at amplitude pairs amps[n]: exact_report's checks, once per grid.
 
-    Adds f_th in [0, 1] and an imaginary overlap residue <= ATOL_CONSTRUCT.
+    Adds m as ProtocolParams checks it, f_th in [0, 1] and an imaginary
+    overlap residue <= ATOL_CONSTRUCT.
     """
-    p = _branch_probabilities(protocol, m, amps)
-    announcements, _, r, _ = _branch_maps(protocol, min(m, 2))
+    ProtocolParams(m=m, family=InputFamily.GHZ)  # raises for an m no run accepts
+    announcements, _, r, t = _branch_maps(protocol, min(m, 2))
+    p = _branch_probabilities(t, amps)
     conj = amps.conj()
     pf = np.einsum("nr,ni,nj,nc,bijrc->nb", conj, amps, conj, amps, r)
     residue = np.max(np.abs(pf.imag), initial=0.0)
@@ -398,26 +408,44 @@ def _compiled_branches(protocol: ProtocolId, m: int, amps: np.ndarray
     return announcements, p, pf
 
 
-def _sample_branch_indices(kinds: tuple[str, ...], probs: np.ndarray,
+def _bit_thresholds(kinds: tuple[str, ...], probs: np.ndarray) -> tuple[np.ndarray | None, ...]:
+    """The sampler's per-bit thresholds at branch probabilities probs (run_exact's order).
+
+    Entry j is None for a coin, and for a measured bit the read-only array of
+    P(bit j = 0 | earlier bits i) over prefixes i. A prefix of probability
+    zero gets 1/2; the empty prefix has probability 1 by definition, not the
+    float sum.
+    """
+    out = []
+    for j, kind in enumerate(kinds):
+        if kind == "coin":
+            out.append(None)
+            continue
+        # joint[i, x]: probability of earlier bits i followed by bit x
+        joint = probs.reshape(2**j, 2, -1).sum(axis=2)
+        cond0 = joint[:, 0]
+        if j:
+            prefix = joint.sum(axis=1)
+            cond0 = np.divide(cond0, prefix, out=np.full(2**j, 0.5), where=prefix > 0)
+        cond0.setflags(write=False)
+        out.append(cond0)
+    return tuple(out)
+
+
+def _sample_branch_indices(thresholds: tuple[np.ndarray | None, ...],
                            draws: np.ndarray) -> np.ndarray:
     """Branch indices in run_exact's order, one per row of draws; the one sampler.
 
-    Column j of draws is the draw of bit j, of kind kinds[j]. A measured bit
-    is 1 when u >= P(0 | earlier bits), a coin when u < 1/2. Branch index i
-    has the bits of i, first bit highest; it fits one byte, as do all per-shot
-    arrays but draws.
+    Column j of draws is the draw of bit j, with thresholds[j] from
+    _bit_thresholds. A measured bit is 1 when u >= P(0 | earlier bits), a coin
+    when u < 1/2. Branch index i has the bits of i, first bit highest; it
+    fits one byte, as do all per-shot arrays but draws.
     """
     idx = np.zeros(1, dtype=np.uint8)  # the empty prefix, broadcast over shots
-    for j, kind in enumerate(kinds):
-        if kind == "coin":
+    for j, cond0 in enumerate(thresholds):
+        if cond0 is None:
             bit = draws[:, j] < 0.5
         else:
-            # joint[i, x]: probability of earlier bits i followed by bit x
-            joint = probs.reshape(2**j, 2, -1).sum(axis=2)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                # the empty prefix has probability 1 by definition, not the float sum
-                prefix = joint.sum(axis=1) if j else np.ones(1)
-                cond0 = np.where(prefix > 0, joint[:, 0] / prefix, 0.5)
             bit = np.zeros(len(draws), dtype=bool)
             for i, c in enumerate(cond0):  # one threshold per prefix, not a float per shot
                 bit |= (idx == i) & (draws[:, j] >= c)
@@ -425,19 +453,54 @@ def _sample_branch_indices(kinds: tuple[str, ...], probs: np.ndarray,
     return idx
 
 
+@dataclass(eq=False, slots=True)
+class _Trajectories:
+    """What run_sampled reads at one target, checked once; outputs fill in as branches are drawn."""
+
+    k: int
+    announcements: tuple[Announcement, ...]
+    maps: np.ndarray                           # E of _branch_maps
+    amps: np.ndarray                           # the target's logical amplitudes
+    probs: np.ndarray                          # p_b
+    thresholds: tuple[np.ndarray | None, ...]  # _bit_thresholds at probs
+    outputs: list[DensityOperator | None]      # E_b(|t><t|) / p_b, None until b is drawn
+
+    def output(self, b: int) -> DensityOperator:
+        """Branch b's logical output, built on its first draw (an undrawn b may have p_b = 0)."""
+        out = self.outputs[b]
+        if out is None:  # threads racing here build equal outputs; either is kept
+            rho = np.einsum("i,j,ijrc->rc", self.amps, self.amps.conj(), self.maps[b])
+            out = self.outputs[b] = DensityOperator(self.k, rho / self.probs[b])
+        return out
+
+
+@lru_cache(maxsize=256)
+def _trajectory_table(protocol: ProtocolId, params: ProtocolParams) -> _Trajectories:
+    """run_sampled's per-target table: the maps at the target, with its checks run once.
+
+    Equal params share an entry (theta = -0.0 is theta = 0.0). The arrays are
+    read-only, as _branch_maps' are; only the output list fills in.
+    """
+    k = min(params.m, 2)
+    announcements, e, _, t = _branch_maps(protocol, k)
+    amps = target_amplitudes(params.family, params.theta, params.phi)
+    [probs] = _branch_probabilities(t, amps[None])  # params checked m on construction
+    amps.setflags(write=False)
+    probs.setflags(write=False)
+    return _Trajectories(k, announcements, e, amps, probs,
+                         _bit_thresholds(DRAW_KINDS[protocol], probs), [None] * len(announcements))
+
+
 def run_sampled(protocol: ProtocolId, params: ProtocolParams,
                 rng: RngStream) -> tuple[Announcement, DensityOperator]:
-    """One protocol trajectory, read off the compiled branch maps.
+    """One protocol trajectory, read off the target's trajectory table.
 
     p_b is T_b at the target's logical amplitudes t. One row of draws, one per
     announced bit in (a, b) order, picks b; the output is E_b(|t><t|) / p_b,
-    lifted to m qubits. Mutates only rng.
+    lifted to m qubits. Mutates rng, and fills the bounded per-target cache
+    (_trajectory_table) on the first call at a target or branch.
     """
-    k = min(params.m, 2)
-    announcements, e, _, _ = _branch_maps(protocol, k)
-    amps = target_amplitudes(params.family, params.theta, params.phi)
-    [probs] = _branch_probabilities(protocol, params.m, amps[None])
-    kinds = DRAW_KINDS[protocol]
-    [b] = _sample_branch_indices(kinds, probs, rng.uniform_block((1, len(kinds))))
-    rho = np.einsum("i,j,ijrc->rc", amps, amps.conj(), e[b]) / probs[b]
-    return announcements[b], _lift(DensityOperator(k, rho), params.m)
+    table = _trajectory_table(protocol, params)
+    [b] = _sample_branch_indices(table.thresholds,
+                                 rng.uniform_block((1, len(table.thresholds)))).tolist()
+    return table.announcements[b], _lift(table.output(b), params.m)

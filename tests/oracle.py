@@ -181,3 +181,28 @@ def threshold(protocol: str, m: int, family: str, theta: float = 0.0,
     t = target_vector(m, family, theta, phi)
     return float(sum((t.conj() @ mat @ t).real for mat in branches(
         protocol, m, family, theta, phi).values()))
+
+
+def sample_branch(kinds, probs, row) -> int:
+    """Branch index of one row of draws, walking the announced bits in order.
+
+    probs[i] is the probability of the branch whose bits, first bit highest,
+    spell i. A measured bit is 1 when its draw is at least P(0 | prefix), and
+    a prefix of probability zero has P(0 | prefix) = 1/2; a coin is 1 when its
+    draw is below 1/2. Plain Python, one row at a time.
+    """
+    n = len(kinds)
+
+    def mass(prefix: int, length: int) -> float:
+        return sum(float(probs[i]) for i in range(2**n) if i >> (n - length) == prefix)
+
+    prefix = 0
+    for j, (kind, u) in enumerate(zip(kinds, row)):
+        if kind == "coin":
+            bit = 1 if u < 0.5 else 0
+        else:
+            total = 1.0 if j == 0 else mass(prefix, j)
+            cond0 = mass(2 * prefix, j + 1) / total if total > 0 else 0.5
+            bit = 1 if u >= cond0 else 0
+        prefix = 2 * prefix + bit
+    return prefix

@@ -92,6 +92,19 @@ def test_certify_observed(capsys):
     assert json.loads(out)["verdict"] == "deny"
 
 
+def test_certify_reports_its_issue_rule(capsys):
+    # issued only above threshold + 1e-12: pb's computed threshold rounds an
+    # ulp below 1/2, and the observation 1/2 is denied
+    for observed, verdict in (("0.5", "deny"), ("0.500000001", "issue")):
+        code, out, _ = run_cli(capsys, "certify", "--model", "cheating_b", "--m", "2",
+                               "--family", "ghz", "--threshold-source", "computed",
+                               "--observed", observed)
+        payload = json.loads(out)
+        assert code == 0 and payload["verdict"] == verdict
+        assert payload["comparison"] == "greater-than-threshold-plus-1e-12"
+        assert payload["threshold"] < 0.5
+
+
 @pytest.mark.parametrize("model,criterion,family,m", [
     ("cheating_a", "pointwise", "ghz", 2),
     ("cheating_a", "theta_average", "ghz", 2),

@@ -21,6 +21,7 @@ from telecert.protocols import (
     InputFamily,
     ProtocolId,
     ProtocolParams,
+    _bit_thresholds,
     _branch_maps,
     _sample_branch_indices,
     build_target,
@@ -75,6 +76,20 @@ def test_theta_sweep_examples():
     assert pts[np.pi / 2] == pytest.approx(0.25, abs=1e-12)
     pts = dict(theta_sweep(ProtocolId.PA1, 3, [np.pi / 4]))
     assert pts[np.pi / 4] == pytest.approx(3 / 8, abs=1e-12)
+
+
+def test_theta_curve_scalar_and_grid_shapes():
+    # a scalar is a one-point curve; a grid of more than one dimension is refused
+    want = exact_threshold(ProtocolId.PA1, ghz(2, 0.5))
+    for theta in (0.5, np.float64(0.5), np.array(0.5)):
+        curve = fidelity.theta_curve(ProtocolId.PA1, 2, theta)
+        assert curve.shape == (1,) and curve[0] == pytest.approx(want, abs=1e-12)
+        assert theta_sweep(ProtocolId.PA1, 2, theta) == [(0.5, curve[0])]
+    grid = np.zeros((2, 3))
+    for call in (fidelity.theta_curve, theta_sweep):
+        with pytest.raises(ValueError, match=r"^theta grid must be a scalar or one-dimensional, "
+                                             r"got shape \(2, 3\)$"):
+            call(ProtocolId.PA1, 2, grid)
 
 
 @pytest.mark.parametrize("protocol", [ProtocolId.PA1, ProtocolId.PA2, ProtocolId.PAB])
@@ -331,7 +346,7 @@ def _monolithic_counts(protocol, params, shots, seed):
     kinds = [op for op, *_ in PROTOCOL_OPS[protocol] if op in ANNOUNCING]
     probs = np.array([bf.probability for bf in exact_report(protocol, params).per_branch])
     draws = RngStream(seed).uniform_block((shots, len(kinds)))
-    idx = _sample_branch_indices(kinds, probs, draws)
+    idx = _sample_branch_indices(_bit_thresholds(kinds, probs), draws)
     return [np.count_nonzero(idx == i) for i in range(len(probs))]
 
 

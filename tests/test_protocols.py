@@ -11,7 +11,9 @@ from telecert.protocols import (
     InputFamily,
     ProtocolId,
     ProtocolParams,
+    _bit_thresholds,
     _sample_branch_indices,
+    _trajectory_table,
     build_target,
     run_exact,
     run_sampled,
@@ -265,7 +267,8 @@ def test_run_sampled_reads_one_row_per_trajectory(protocol, params):
     kinds = DRAW_KINDS[protocol]
     assert 2 ** len(kinds) == len(branches)  # one draw per announced bit
     probs = np.array([br.probability for br in branches])
-    want = _sample_branch_indices(kinds, probs, RngStream(seed).uniform_block((n, len(kinds))))
+    want = _sample_branch_indices(_bit_thresholds(kinds, probs),
+                                  RngStream(seed).uniform_block((n, len(kinds))))
     rng = RngStream(seed)
     got = [run_sampled(protocol, params, rng)[0] for _ in range(n)]
     assert got == [branches[i].announcement for i in want]
@@ -278,6 +281,65 @@ def test_run_sampled_deterministic_for_fixed_seed():
         a2, r2 = run_sampled(protocol, ghz(2, 0.9), RngStream(42))
         assert a1 == a2
         np.testing.assert_allclose(r1.matrix, r2.matrix, atol=0)
+
+
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+@pytest.mark.parametrize("theta", [0.0, 0.9, np.pi / 2, np.pi])
+def test_sampler_matches_per_row_oracle(protocol, theta):
+    # the split sampler, at the thresholds run_sampled reads, against a
+    # plain per-row walk of the bits; theta = 0 and pi have prefixes of
+    # probability zero
+    table = _trajectory_table(protocol, ghz(2, theta))
+    kinds = DRAW_KINDS[protocol]
+    draws = RngStream(19).uniform_block((10**4, len(kinds)))
+    got = _sample_branch_indices(table.thresholds, draws)
+    assert got.tolist() == [oracle.sample_branch(kinds, table.probs, row)
+                            for row in draws.tolist()]
+
+
+def test_trajectory_table_builds_outputs_lazily():
+    # at theta = 0, pa1's a = 1 branches have p_b = 0 and no output to build
+    params = ghz(2, 0.0)
+    _trajectory_table.cache_clear()
+    rng = RngStream(12)
+    drawn = {run_sampled(ProtocolId.PA1, params, rng)[0] for _ in range(1000)}
+    assert {ann.a for ann in drawn} == {0}
+    outputs = _trajectory_table(ProtocolId.PA1, params).outputs
+    assert [out is None for out in outputs] == [False, False, True, True]
+
+
+def test_trajectory_table_builds_each_drawn_output_once(monkeypatch):
+    built = []
+
+    class Counting(protocols.DensityOperator):
+        def __post_init__(self):
+            built.append(self.num_qubits)
+            super().__post_init__()
+
+    params = ghz(2, 0.7431)
+    for protocol in ALL_PROTOCOLS:
+        _trajectory_table.cache_clear()
+        protocols._branch_maps(protocol, 2)  # compiled per protocol, not per target
+        built.clear()
+        monkeypatch.setattr(protocols, "DensityOperator", Counting)
+        rng = RngStream(8)
+        drawn = {run_sampled(protocol, params, rng)[0] for _ in range(200)}
+        monkeypatch.undo()
+        assert 0 < len(built) <= len(drawn), protocol
+
+
+def test_trajectory_table_is_bounded_and_keyed_by_params():
+    assert _trajectory_table.cache_info().maxsize is not None
+    # -0.0 == 0.0, so both angles are one target and read one entry
+    assert ghz(2, -0.0) == ghz(2, 0.0)
+    for protocol in ALL_PROTOCOLS:
+        _trajectory_table.cache_clear()
+        runs = []
+        for theta in (0.0, -0.0):
+            rng = RngStream(4)
+            runs.append([run_sampled(protocol, ghz(2, theta), rng) for _ in range(20)])
+        assert runs[0] == runs[1]
+        assert _trajectory_table.cache_info().currsize == 1
 
 
 # 50 successive trajectories from RngStream(42) at ghz(2, 0.9), one digit per
