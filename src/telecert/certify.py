@@ -16,6 +16,8 @@ The two sources agree except for the B-cheat theta average, where the
 tabulated 3/16 is half the enumerated optimum 3/8 (the 3/16 descends from a
 branch bookkeeping convention whose probabilities sum to 1/2; the enumerated
 value conserves probability). threshold_table reports both with provenance.
+Both sources answer the same (model, criterion) pairs, the keys of
+_TABULATED, and refuse every other pair with one message.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import fidelity as fid
-from .protocols import InputFamily, ProtocolId, ProtocolParams
+from .protocols import InputFamily, ProtocolId, ProtocolParams, _enum_parser
 from .statevec import ATOL_CONSTRUCT
 
 
@@ -37,13 +39,7 @@ class Adversary(Enum):
     CHEATING_B = "cheating_b"
     CHEATING_AB = "cheating_ab"
 
-    @classmethod
-    def parse(cls, s: str) -> "Adversary":
-        try:
-            return cls(s.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown adversary model {s!r}; expected one of "
-                             f"{[a.value for a in cls]}") from None
+    parse = _enum_parser("adversary model")
 
 
 class Criterion(Enum):
@@ -51,13 +47,7 @@ class Criterion(Enum):
     THETA_AVERAGE = "theta_average"
     BLOCH_POSTSELECTED = "bloch_postselected"
 
-    @classmethod
-    def parse(cls, s: str) -> "Criterion":
-        try:
-            return cls(s.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown criterion {s!r}; expected one of "
-                             f"{[c.value for c in cls]}") from None
+    parse = _enum_parser("criterion")
 
 
 class ThresholdSource(Enum):
@@ -99,6 +89,7 @@ _CHEAT_PROTOCOLS = {
     Adversary.CHEATING_AB: (ProtocolId.PAB,),
 }
 
+# The defined (model, criterion) pairs, for both sources, and their tabulated values.
 _TABULATED = {
     (Adversary.HONEST, Criterion.POINTWISE):
         (1.0, "honest-protocol bound: exact teleportation has fidelity 1"),
@@ -123,9 +114,24 @@ _TABULATED = {
 }
 
 
+def _undefined(adversary: Adversary, criterion: Criterion,
+               family: InputFamily | None = None) -> str | None:
+    """Why no threshold applies: the pair, then (when given) the family; None when one does."""
+    if (adversary, criterion) not in _TABULATED:
+        return f"criterion {criterion.value} is not defined for {adversary.value}"
+    if family is None:
+        return None
+    if criterion is Criterion.THETA_AVERAGE and family is not InputFamily.GHZ:
+        return "theta_average criterion applies to the ghz family"
+    if criterion is Criterion.BLOCH_POSTSELECTED and family is not InputFamily.BLOCH:
+        return "bloch_postselected criterion applies to the bloch family (m=1)"
+    return None
+
+
 @lru_cache(maxsize=None)
 def _computed_threshold(adversary: Adversary, criterion: Criterion, m: int) -> tuple[float, str]:
-    if adversary is Adversary.HONEST:
+    """The threshold of a defined (model, criterion) pair, from this simulator's own runs."""
+    if adversary is Adversary.HONEST:  # pointwise, its one defined criterion
         return 1.0, "computed: honest protocol fidelity (constant 1)"
     protocols = _CHEAT_PROTOCOLS[adversary]
     names = "/".join(p.value for p in protocols)
@@ -136,20 +142,16 @@ def _computed_threshold(adversary: Adversary, criterion: Criterion, m: int) -> t
     if criterion is Criterion.THETA_AVERAGE:
         best = max(fid.theta_average(p, m) for p in protocols)
         return best, f"computed: uniform-theta average of enumerated f_th({names}), m={m}"
-    if adversary in (Adversary.CHEATING_B, Adversary.CHEATING_AB):
-        value = fid.bloch_average(protocols[0], postselect=1).postselected
-        return value, f"computed: postselected Bloch-sphere average of {names} (m=1)"
-    raise ValueError(f"criterion {criterion.value} is not defined for {adversary.value}")
+    value = fid.bloch_average(protocols[0], postselect=1).postselected
+    return value, f"computed: postselected Bloch-sphere average of {names} (m=1)"
 
 
 def select_threshold(model: AdversaryModel, criterion: Criterion, m: int) -> tuple[float, str]:
+    if reason := _undefined(model.adversary, criterion):
+        raise ValueError(reason)
     if model.threshold_source is ThresholdSource.COMPUTED:
         return _computed_threshold(model.adversary, criterion, m)
-    key = (model.adversary, criterion)
-    if key not in _TABULATED:
-        raise ValueError(
-            f"criterion {criterion.value} has no tabulated threshold for {model.adversary.value}")
-    return _TABULATED[key]
+    return _TABULATED[(model.adversary, criterion)]
 
 
 def decide(observed: float, model: AdversaryModel, m: int = 1,
@@ -163,10 +165,8 @@ def decide(observed: float, model: AdversaryModel, m: int = 1,
     ProtocolParams(m=m, family=family)  # raises for a pair no run accepts
     if not (0.0 <= observed <= 1.0) or math.isnan(observed):
         raise ValueError(f"observed fidelity {observed} outside [0, 1]")
-    if criterion is Criterion.THETA_AVERAGE and family is not InputFamily.GHZ:
-        raise ValueError("theta_average criterion applies to the ghz family")
-    if criterion is Criterion.BLOCH_POSTSELECTED and family is not InputFamily.BLOCH:
-        raise ValueError("bloch_postselected criterion applies to the bloch family (m=1)")
+    if reason := _undefined(model.adversary, criterion, family):
+        raise ValueError(reason)
     threshold, provenance = select_threshold(model, criterion, m)
     verdict = "issue" if observed > threshold + ATOL_CONSTRUCT else "deny"
     return CertificateDecision(_CERT_ID[model.adversary], observed, threshold,
@@ -175,7 +175,7 @@ def decide(observed: float, model: AdversaryModel, m: int = 1,
 
 def self_threshold(adversary: Adversary, criterion: Criterion, m: int) -> float:
     """The adversary's own optimum under the criterion (what --self feeds in)."""
-    value, _ = _computed_threshold(adversary, criterion, m)
+    value, _ = select_threshold(AdversaryModel(adversary, ThresholdSource.COMPUTED), criterion, m)
     return value
 
 
@@ -185,11 +185,7 @@ def threshold_table(m: int, family: InputFamily) -> list[dict]:
     rows: list[dict] = []
     for adversary in Adversary:
         for criterion in Criterion:
-            if (adversary, criterion) not in _TABULATED:
-                continue
-            if criterion is Criterion.THETA_AVERAGE and family is not InputFamily.GHZ:
-                continue
-            if criterion is Criterion.BLOCH_POSTSELECTED and family is not InputFamily.BLOCH:
+            if _undefined(adversary, criterion, family) is not None:
                 continue
             for source in ThresholdSource:
                 model = AdversaryModel(adversary, source)

@@ -11,10 +11,11 @@ of the per-announcement linear maps E_b that protocols._branch_maps compiles
 from four interpreter runs per (protocol, k = min(m, 2)), through
 protocols._compiled_branches. exact_report enumerates the branches at one
 point with the interpreter (run_exact); it is the reference the maps are
-tested against. Monte Carlo estimates draw announcements through
-protocols._sample_branch_indices, the sampler run_sampled uses, at
-exact_report's branch probabilities, and are reduced through outcome tallies,
-so results are deterministic for a fixed seed regardless of thread count.
+tested against. Monte Carlo estimates read the target's entry of
+protocols._trajectory_table, the table run_sampled reads, for the
+announcements and the sampler's thresholds, and the branch fidelities off the
+same maps; they are reduced through outcome tallies, so results are
+deterministic for a fixed seed regardless of thread count.
 """
 from __future__ import annotations
 
@@ -27,16 +28,15 @@ import numpy as np
 
 from .channels import RngStream
 from .protocols import (
-    DRAW_KINDS,
     Announcement,
     Branch,
     InputFamily,
     ProtocolId,
     ProtocolParams,
     TargetState,
-    _bit_thresholds,
     _compiled_branches,
     _sample_branch_indices,
+    _trajectory_table,
     build_target,
     logical_target,
     run_exact,
@@ -227,31 +227,33 @@ def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: i
     """Shot-based estimate of f_th with its standard error.
 
     Shots sample the exact trajectory distribution: announcement bits are
-    drawn in order from per-shot uniforms, and each shot contributes the
-    branch fidelity of its announcement. Shot i reads row i of the
-    counter-based Philox stream of `seed`, so the draws are a function of
-    (seed, shot index) only. Each worker draws, samples and tallies its own
-    chunks of CHUNK_SHOTS shots, started at their row with RngStream.skip,
-    so memory is bounded by the chunk, not the shot count. The reduction goes
-    through integer outcome tallies, which makes the estimate independent of
-    chunking and thread count.
+    drawn in order from per-shot uniforms through the sampler thresholds of
+    the target's trajectory table (the one run_sampled reads), and each shot
+    contributes the branch fidelity of its announcement, p_b * f_b / p_b off
+    the compiled maps at the table's amplitudes (0.0 where p_b = 0, as in
+    exact_report). Shot i reads row i of the counter-based Philox stream of
+    `seed`, so the draws are a function of (seed, shot index) only. Each
+    worker draws, samples and tallies its own chunks of CHUNK_SHOTS shots,
+    started at their row with RngStream.skip, so memory is bounded by the
+    chunk, not the shot count. The reduction goes through integer outcome
+    tallies, which makes the estimate independent of chunking and thread count.
     """
     if shots < 100:
         raise ValueError("shots must be >= 100")
     if threads < 1:
         raise ValueError("threads must be >= 1")
 
-    per_branch = exact_report(protocol, params).per_branch
-    kinds = DRAW_KINDS[protocol]
-    fids = np.array([bf.fidelity for bf in per_branch])
-    thresholds = _bit_thresholds(kinds, np.array([bf.probability for bf in per_branch]))
+    table = _trajectory_table(protocol, params)
+    _, p, pf = _compiled_branches(protocol, params.m, table.amps[None])
+    fids = np.divide(pf[0], p[0], out=np.zeros_like(pf[0]), where=p[0] > 0)
+    bits = len(table.thresholds)
 
     def tally_chunk(start):  # no np.bincount: it would copy idx to 8-byte integers
         rng = RngStream(seed)
-        rng.skip(start * len(kinds))
-        draws = rng.uniform_block((min(CHUNK_SHOTS, shots - start), len(kinds)))
-        idx = _sample_branch_indices(thresholds, draws)
-        return np.array([np.count_nonzero(idx == i) for i in range(len(per_branch))])
+        rng.skip(start * bits)
+        draws = rng.uniform_block((min(CHUNK_SHOTS, shots - start), bits))
+        idx = _sample_branch_indices(table.thresholds, draws)
+        return np.array([np.count_nonzero(idx == i) for i in range(len(fids))])
 
     starts = range(0, shots, CHUNK_SHOTS)
     workers = min(threads, len(starts), os.cpu_count() or 1)
@@ -264,7 +266,7 @@ def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: i
     var = math.fsum(int(c) * (f - estimate) ** 2 for c, f in zip(tally, fids)) / (shots - 1)
     stderr = math.sqrt(var / shots)
 
-    per = tuple(BranchFidelity(bf.announcement, int(c) / shots, f)
-                for bf, c, f in zip(per_branch, tally, fids))
+    per = tuple(BranchFidelity(ann, int(c) / shots, f)
+                for ann, c, f in zip(table.announcements, tally, fids))
     return FidelityReport(protocol, params, estimate, per, mode="monte_carlo",
                           shots=shots, stderr=stderr, seed=seed)

@@ -48,9 +48,10 @@ holds the target's amplitudes, p_b and the sampler's per-bit thresholds
 validated logical output, built on the first call that draws that branch and
 never before: a branch that is never drawn may have p_b = 0 and no output.
 A call then draws one RngStream row, one draw per announced bit, through
-_sample_branch_indices, the one sampler, which Monte Carlo also uses with
-thresholds computed once per estimate, and lifts the drawn output to m
-qubits.
+_sample_branch_indices, the one sampler, and lifts the drawn output to m
+qubits. Monte Carlo reads the same entry for its announcements and
+thresholds, so only this module turns a target into sampler inputs, and
+repeated estimates at one target share the entry.
 """
 from __future__ import annotations
 
@@ -75,6 +76,18 @@ from .statevec import (
 )
 
 
+def _enum_parser(noun: str) -> classmethod:
+    """The parse classmethod of an Enum of lower-case names; an unknown name raises, naming noun."""
+    def parse(cls, s: str):
+        try:
+            return cls(s.strip().lower())
+        except ValueError:
+            raise ValueError(f"unknown {noun} {s!r}; expected one of "
+                             f"{[e.value for e in cls]}") from None
+
+    return classmethod(parse)
+
+
 class ProtocolId(Enum):
     P0 = "p0"
     PA1 = "pa1"
@@ -82,13 +95,7 @@ class ProtocolId(Enum):
     PB = "pb"
     PAB = "pab"
 
-    @classmethod
-    def parse(cls, s: str) -> "ProtocolId":
-        try:
-            return cls(s.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown protocol {s!r}; expected one of "
-                             f"{[p.value for p in cls]}") from None
+    parse = _enum_parser("protocol")
 
 
 # The ops A and B run after C's preparation and D's gadget (see module docstring).
@@ -116,13 +123,7 @@ class InputFamily(Enum):
     GHZ = "ghz"
     BLOCH = "bloch"
 
-    @classmethod
-    def parse(cls, s: str) -> "InputFamily":
-        try:
-            return cls(s.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown family {s!r}; expected one of "
-                             f"{[f.value for f in cls]}") from None
+    parse = _enum_parser("family")
 
 
 @dataclass(frozen=True)

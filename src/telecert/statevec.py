@@ -58,12 +58,6 @@ class PureState:
     def is_normalized(self) -> bool:
         return abs(self.norm_sq - 1.0) <= ATOL_CONSTRUCT
 
-    def normalized(self) -> "PureState":
-        n2 = self.norm_sq
-        if n2 <= 0.0:
-            raise ValueError("cannot normalize a zero state")
-        return PureState(self.num_qubits, self.amplitudes / np.sqrt(n2))
-
     def require_normalized(self) -> None:
         if not self.is_normalized:
             raise ValueError(f"state not normalized (norm^2 = {self.norm_sq!r})")
@@ -99,12 +93,6 @@ class DensityOperator:
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    def normalized(self) -> "DensityOperator":
-        tr = self.trace
-        if tr <= 0.0:
-            raise ValueError("cannot normalize a zero operator")
-        return DensityOperator(self.num_qubits, self.matrix / tr)
 
 
 def basis_state(num_qubits: int, index: int = 0) -> PureState:

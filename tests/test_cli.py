@@ -123,6 +123,47 @@ def test_certify_self_always_denies_cheats(capsys, model, criterion, family, m):
     assert payload["threshold_source"] == "computed"
 
 
+# The (model, criterion) pairs with no threshold under either source.
+UNDEFINED_PAIRS = [
+    ("honest", "theta_average", "ghz", "2"),
+    ("honest", "bloch_postselected", "bloch", "1"),
+    ("cheating_a", "bloch_postselected", "bloch", "1"),
+]
+
+
+@pytest.mark.parametrize("model,criterion,family,m", UNDEFINED_PAIRS)
+def test_certify_refuses_undefined_pairs_under_both_sources(capsys, model, criterion, family, m):
+    want = f"error: criterion {criterion} is not defined for {model}\n"
+    argv = ("certify", "--model", model, "--criterion", criterion, "--family", family, "--m", m)
+    for source in ("tabulated", "computed"):
+        code, out, err = run_cli(capsys, *argv, "--observed", "0.99", "--threshold-source", source)
+        assert (code, out, err) == (2, "", want)
+    code, out, err = run_cli(capsys, *argv, "--self")
+    assert (code, out, err) == (2, "", want)
+    # the pair is checked before the family
+    other = "bloch" if family == "ghz" else "ghz"
+    code, out, err = run_cli(capsys, "certify", "--model", model, "--criterion", criterion,
+                             "--family", other, "--m", "1", "--observed", "0.99")
+    assert (code, out, err) == (2, "", want)
+    code, out, _ = run_cli(capsys, "thresholds", "--m", m, "--family", family)
+    assert code == 0
+    assert (model, criterion) not in {(r["model"], r["criterion"])
+                                      for r in json.loads(out)["thresholds"]}
+
+
+def test_certify_refuses_a_criterion_off_its_family(capsys):
+    for criterion, family, m, want in (
+            ("theta_average", "bloch", "1",
+             "error: theta_average criterion applies to the ghz family\n"),
+            ("bloch_postselected", "ghz", "2",
+             "error: bloch_postselected criterion applies to the bloch family (m=1)\n")):
+        for source in ("tabulated", "computed"):
+            code, out, err = run_cli(capsys, "certify", "--model", "cheating_b", "--criterion",
+                                     criterion, "--family", family, "--m", m, "--observed", "0.9",
+                                     "--threshold-source", source)
+            assert (code, out, err) == (2, "", want)
+
+
 def test_enumerate_branches(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--protocol", "pb", "--m", "1",
                            "--family", "bloch", "--theta", "0.8")
@@ -154,9 +195,11 @@ def test_byte_identical_output_and_json_roundtrip(capsys):
 
 
 # Captured from an earlier build: a fixed seed must keep printing these bytes.
+# The probabilities (the tally) date from that build; the fidelities, and the
+# f_th built from them, are read off the compiled branch maps.
 PINNED_MONTE_CARLO_STDOUT = """\
 {
-  "f_th": 0.3480916020872137,
+  "f_th": 0.34809160208721374,
   "f_th_definition": "sum over announcements of probability-weighted target overlap",
   "family": "ghz",
   "m": 2,
@@ -165,25 +208,25 @@ PINNED_MONTE_CARLO_STDOUT = """\
     {
       "a": 0,
       "b": 0,
-      "fidelity": 0.6574047222986963,
+      "fidelity": 0.6574047222986964,
       "probability": 0.24755
     },
     {
       "a": 0,
       "b": 1,
-      "fidelity": 0.6574047222986963,
+      "fidelity": 0.6574047222986964,
       "probability": 0.25485
     },
     {
       "a": 1,
       "b": 0,
-      "fidelity": 0.035794754028031894,
+      "fidelity": 0.035794754028031874,
       "probability": 0.2502
     },
     {
       "a": 1,
       "b": 1,
-      "fidelity": 0.035794754028031894,
+      "fidelity": 0.035794754028031874,
       "probability": 0.2474
     }
   ],

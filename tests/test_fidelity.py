@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from telecert import fidelity
+from telecert import fidelity, protocols
 from telecert.channels import RngStream
 from telecert.fidelity import (
     CHUNK_SHOTS,
@@ -24,6 +24,7 @@ from telecert.protocols import (
     _bit_thresholds,
     _branch_maps,
     _sample_branch_indices,
+    _trajectory_table,
     build_target,
     run_exact,
 )
@@ -363,8 +364,9 @@ def test_monte_carlo_chunks_equal_monolithic_block(protocol, shots):
 
 
 # Captured from an earlier build that held one Philox block for all shots;
-# 200 003 shots span four chunks.
-PINNED_MULTI_CHUNK = ("0x1.62d301bdbc963p-2", "0x1.6c5e4f6108385p-11",
+# 200 003 shots span four chunks. The counts date from that build; f_th and its
+# stderr are re-read with the branch fidelities off the compiled maps.
+PINNED_MULTI_CHUNK = ("0x1.62d301bdbc964p-2", "0x1.6c5e4f6108386p-11",
                       [49905, 50067, 50085, 49946])
 
 
@@ -397,6 +399,51 @@ def test_monte_carlo_pool_is_bounded(monkeypatch):
     monkeypatch.undo()
     ref = monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=shots, seed=5)
     assert rep == ref
+
+
+def test_monte_carlo_reads_only_the_compiled_maps(monkeypatch):
+    # with the maps compiled, an estimate needs neither the interpreter, nor
+    # an m-qubit target, nor exact_report
+    for protocol in ProtocolId:
+        for k in (1, 2):
+            _branch_maps(protocol, k)
+    _trajectory_table.cache_clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Monte Carlo left the compiled maps")
+
+    monkeypatch.setattr(protocols, "_run", refuse)
+    monkeypatch.setattr(protocols, "build_target", refuse)
+    monkeypatch.setattr(fidelity, "exact_report", refuse)
+    for protocol in ProtocolId:
+        for params in (ghz(2, 0.7), ghz(3, 0.7), bloch(0.7, 0.2)):
+            rep = monte_carlo_threshold(protocol, params, shots=1000, seed=3)
+            assert sum(bf.probability for bf in rep.per_branch) == pytest.approx(1.0)
+
+
+def test_monte_carlo_shares_the_trajectory_table_entry():
+    params = ghz(2, 0.61)
+    _trajectory_table(ProtocolId.PB, params)
+    before = _trajectory_table.cache_info()
+    for threads in (1, 2):
+        monte_carlo_threshold(ProtocolId.PB, params, shots=1000, seed=3, threads=threads)
+    after = _trajectory_table.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+
+
+def test_monte_carlo_branch_fidelities_match_exact_report():
+    zero_branches = 0
+    for protocol in ProtocolId:
+        for params in [ghz(2, t) for t in (0.0, 0.9, np.pi / 2, np.pi)] + [bloch(0.9, 0.3)]:
+            exact = exact_report(protocol, params).per_branch
+            rep = monte_carlo_threshold(protocol, params, shots=1000, seed=1)
+            assert [bf.announcement for bf in rep.per_branch] == [bf.announcement for bf in exact]
+            for got, want in zip(rep.per_branch, exact):
+                if want.probability == 0.0:
+                    zero_branches += 1
+                    assert got.fidelity == 0.0 and got.probability == 0.0
+                assert abs(got.fidelity - want.fidelity) <= 1e-12
+    assert zero_branches  # pa1 at theta = 0 and pi
 
 
 def test_monte_carlo_frequencies_match_run_sampled():

@@ -79,6 +79,25 @@ def test_params_validation():
         ProtocolId.parse("p7")
 
 
+def test_enum_parse_messages():
+    from telecert.certify import Adversary, Criterion
+
+    assert ProtocolId.parse(" PA1 ") is ProtocolId.PA1
+    assert Criterion.parse("Theta_Average") is Criterion.THETA_AVERAGE
+    for cls, text, want in (
+            (ProtocolId, "p7", "unknown protocol 'p7'; expected one of "
+                               "['p0', 'pa1', 'pa2', 'pb', 'pab']"),
+            (InputFamily, "w", "unknown family 'w'; expected one of ['trivial', 'ghz', 'bloch']"),
+            (Adversary, "cheating_c", "unknown adversary model 'cheating_c'; expected one of "
+                                      "['honest', 'cheating_a', 'cheating_b', 'cheating_ab']"),
+            (Criterion, " x ", "unknown criterion ' x '; expected one of "
+                               "['pointwise', 'theta_average', 'bloch_postselected']")):
+        with pytest.raises(ValueError) as info:
+            cls.parse(text)
+        assert str(info.value) == want
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
 def test_p0_trivial_m1_four_equal_branches():
     branches = run_exact(ProtocolId.P0, ProtocolParams(m=1, family=InputFamily.TRIVIAL))
     assert len(branches) == 4
