@@ -4,8 +4,12 @@ Subcommands: run, sweep, average, certify, enumerate, thresholds. Angles are
 radians. A config file (--config, KEY=VALUE lines, same keys as the long
 flags) is parsed as those flags placed before the command line's own, so
 flags win and a bad key or value exits 2 as the flag would; TELECERT_SEED
-gives a seed neither gives. Output is deterministic for a fixed (config,
-seed): no timestamps, canonical JSON key order, full-precision floats.
+gives a seed neither gives. Each cmd_* returns its payload dict, and main
+prints it through _emit, the one stdout writer: canonical JSON, an indented
+table, or CSV of the rows the payload holds (run, sweep, enumerate,
+thresholds; average and certify hold none and exit 2 under --format csv).
+Output is deterministic for a fixed (config, seed): no timestamps, canonical
+JSON key order, full-precision floats.
 
 Exit codes: 0 success, 2 configuration error, 3 register capacity exceeded
 or memory exhausted.
@@ -78,49 +82,21 @@ def _params_from(args) -> ProtocolParams:
                           theta=args.theta, phi=args.phi)
 
 
-def _branch_row(bf) -> dict:
-    return {
-        "a": bf.announcement.a,
-        "b": bf.announcement.b,
-        "probability": bf.probability,
-        "fidelity": bf.fidelity,
-    }
-
-
-def _report_payload(report) -> dict:
-    payload = {
-        "protocol": report.protocol.value,
-        "m": report.params.m,
-        "family": report.params.family.value,
-        "theta": report.params.theta,
-        "phi": report.params.phi,
-        "mode": report.mode,
-        "f_th": report.f_th,
-        "f_th_definition": F_TH_DEFINITION,
-        "per_branch": [_branch_row(bf) for bf in report.per_branch],
-    }
-    if report.mode == "monte_carlo":
-        payload.update(shots=report.shots, stderr=report.stderr, seed=report.seed)
-    return payload
-
-
-def _emit(payload, fmt: str, csv_rows=None, csv_fields=None) -> None:
+def _emit(payload: dict, fmt: str) -> None:
+    """The one stdout writer; CSV is the payload's list of rows, headed by the first row's keys."""
     if fmt == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return
-    if fmt == "csv":
-        if csv_rows is None:
+    elif fmt == "table":
+        _emit_table(payload)
+    else:
+        rows = next((v for v in payload.values() if isinstance(v, list)), None)
+        if not rows:
             raise ValueError("csv format is not available for this command")
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=csv_fields, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
-        writer.writerows(csv_rows)
+        writer.writerows(rows)
         sys.stdout.write(buf.getvalue())
-        return
-    if fmt == "table":
-        _emit_table(payload)
-        return
-    raise ValueError(f"unknown format {fmt!r}")
 
 
 def _emit_table(payload, indent: str = "") -> None:
@@ -139,7 +115,7 @@ def _emit_table(payload, indent: str = "") -> None:
         sys.stdout.write(f"{indent}{payload!r}\n")
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> dict:
     params = _params_from(args)
     protocol = ProtocolId.parse(args.protocol)
     if args.mode == "exact":
@@ -149,34 +125,44 @@ def cmd_run(args) -> int:
             raise ValueError("monte_carlo mode requires a seed (flag, config, or env)")
         report = monte_carlo_threshold(protocol, params, args.shots, args.seed,
                                        threads=args.threads)
-    _emit(_report_payload(report), args.format,
-          csv_rows=[_branch_row(bf) for bf in report.per_branch],
-          csv_fields=["a", "b", "probability", "fidelity"])
-    return 0
+    payload = {
+        "protocol": report.protocol.value,
+        "m": report.params.m,
+        "family": report.params.family.value,
+        "theta": report.params.theta,
+        "phi": report.params.phi,
+        "mode": report.mode,
+        "f_th": report.f_th,
+        "f_th_definition": F_TH_DEFINITION,
+        "per_branch": [{"a": bf.announcement.a, "b": bf.announcement.b,
+                        "probability": bf.probability, "fidelity": bf.fidelity}
+                       for bf in report.per_branch],
+    }
+    if report.mode == "monte_carlo":
+        payload.update(shots=report.shots, stderr=report.stderr, seed=report.seed)
+    return payload
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> dict:
     protocol = ProtocolId.parse(args.protocol)
     for theta in (args.theta_start, args.theta_stop):  # before linspace, which warns on inf
         ProtocolParams(m=args.m, family=InputFamily.GHZ, theta=theta)
+    if args.points < 1:
+        raise ValueError(f"points must be >= 1, got {args.points}")
     grid = np.linspace(args.theta_start, args.theta_stop, args.points)
-    points = theta_sweep(protocol, args.m, grid)
-    payload = {
+    return {
         "protocol": protocol.value,
         "m": args.m,
         "family": "ghz",
         "f_th_definition": F_TH_DEFINITION,
-        "points": [{"theta": t, "f_th": f} for t, f in points],
+        "points": [{"theta": t, "f_th": f} for t, f in theta_sweep(protocol, args.m, grid)],
     }
-    _emit(payload, args.format, csv_rows=[{"theta": t, "f_th": f} for t, f in points],
-          csv_fields=["theta", "f_th"])
-    return 0
 
 
-def cmd_average(args) -> int:
+def cmd_average(args) -> dict:
     protocol = ProtocolId.parse(args.protocol)
     value = theta_average(protocol, args.m, args.quadrature)
-    payload = {
+    return {
         "protocol": protocol.value,
         "m": args.m,
         "family": "ghz",
@@ -185,11 +171,9 @@ def cmd_average(args) -> int:
         "theta_average": value,
         "definition": "average of f_th(theta) for theta uniform on [0, pi)",
     }
-    _emit(payload, args.format)
-    return 0
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> dict:
     adversary = Adversary.parse(args.model)
     criterion = Criterion.parse(args.criterion)
     family = InputFamily.parse(args.family)
@@ -206,7 +190,7 @@ def cmd_certify(args) -> int:
         source = ThresholdSource(args.threshold_source)
     decision = decide(observed, AdversaryModel(adversary, source), m=args.m,
                       family=family, criterion=criterion)
-    payload = {
+    return {
         "model": adversary.value,
         "certificate": decision.certificate,
         "criterion": decision.criterion,
@@ -218,18 +202,16 @@ def cmd_certify(args) -> int:
         "provenance": decision.provenance,
         "self_evaluation": bool(args.self_evaluate),
     }
-    _emit(payload, args.format)
-    return 0
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> dict:
     params = _params_from(args)
     protocol = ProtocolId.parse(args.protocol)
     rows = [{"a": br.announcement.a, "b": br.announcement.b, "probability": br.probability,
              "output_trace": None if br.logical is None else br.logical.trace,
              "subnormalized_trace": br.probability}
             for br in run_exact(protocol, params)]
-    payload = {
+    return {
         "protocol": protocol.value,
         "m": params.m,
         "family": params.family.value,
@@ -237,17 +219,11 @@ def cmd_enumerate(args) -> int:
         "phi": params.phi,
         "branches": rows,
     }
-    _emit(payload, args.format, csv_rows=rows,
-          csv_fields=["a", "b", "probability", "output_trace", "subnormalized_trace"])
-    return 0
 
 
-def cmd_thresholds(args) -> int:
+def cmd_thresholds(args) -> dict:
     rows = threshold_table(args.m, InputFamily.parse(args.family))
-    payload = {"m": args.m, "family": args.family, "thresholds": rows}
-    _emit(payload, args.format, csv_rows=rows,
-          csv_fields=["model", "certificate", "criterion", "source", "threshold", "provenance"])
-    return 0
+    return {"m": args.m, "family": args.family, "thresholds": rows}
 
 
 def _add_common(sub, protocol=True, angles=True):
@@ -318,7 +294,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse(parser, argv)
-        return args.func(args)
+        _emit(args.func(args), args.format)
+        return 0
     except (CapacityError, MemoryError) as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3

@@ -109,7 +109,11 @@ def _parse_quadrature(text: str) -> tuple[str, int]:
     kind = kind.strip().lower()
     if kind not in ("gauss", "grid"):
         raise ValueError(f"unknown quadrature kind {kind!r}; expected gauss:<n> or grid:<n>")
-    n = int(n_s)
+    try:
+        n = int(n_s)
+    except ValueError:
+        raise ValueError(f"quadrature resolution must be an integer, got {text!r}; "
+                         "expected gauss:<n> or grid:<n>") from None
     if n < 2:
         raise ValueError(f"quadrature resolution {n} < 2")
     return kind, n
@@ -179,28 +183,33 @@ class BlochAverageReport:
     postselected: float | None = None
 
 
-def bloch_average(protocol: ProtocolId, postselect: int | None = None,
-                  theta_nodes_n: int = 64, phi_nodes_n: int = 8) -> BlochAverageReport:
+# bloch_average's quadrature: nodes in cos(theta) and in phi
+BLOCH_THETA_NODES = 64
+BLOCH_PHI_NODES = 8
+
+
+def bloch_average(protocol: ProtocolId, postselect: int | None = None) -> BlochAverageReport:
     """Uniform Bloch-sphere averages of branch fidelities for PB or PAB (m = 1).
 
-    Quadrature is Gauss-Legendre in cos(theta) and midpoint in phi, with the
-    uniform sphere measure. Announcement probabilities for these protocols do
-    not depend on the prepared state, so the per-announcement branch
-    probability is reported as the sphere average of the per-branch value.
+    Quadrature is Gauss-Legendre in cos(theta) and midpoint in phi
+    (BLOCH_THETA_NODES x BLOCH_PHI_NODES), with the uniform sphere measure.
+    Announcement probabilities for these protocols do not depend on the
+    prepared state, so the per-announcement branch probability is reported
+    as the sphere average of the per-branch value.
     """
     if protocol not in (ProtocolId.PB, ProtocolId.PAB):
         raise ValueError(f"bloch_average is defined for PB and PAB, not {protocol}")
     if postselect is not None and postselect not in (0, 1):
         raise ValueError("postselect must be 0, 1, or None")
 
-    u, wu = np.polynomial.legendre.leggauss(theta_nodes_n)
+    u, wu = np.polynomial.legendre.leggauss(BLOCH_THETA_NODES)
     wu = wu / 2  # d(cos theta)/2
-    phis = (np.arange(phi_nodes_n) + 0.5) * (2 * np.pi / phi_nodes_n)
+    phis = (np.arange(BLOCH_PHI_NODES) + 0.5) * (2 * np.pi / BLOCH_PHI_NODES)
 
     # nodes in (theta, phi) order, phi fastest: the order of the sums below
-    amps = target_amplitudes(InputFamily.BLOCH, np.repeat(np.arccos(u), phi_nodes_n),
-                             np.tile(phis, theta_nodes_n))
-    weights = np.repeat(wu / phi_nodes_n, phi_nodes_n)
+    amps = target_amplitudes(InputFamily.BLOCH, np.repeat(np.arccos(u), BLOCH_PHI_NODES),
+                             np.tile(phis, BLOCH_THETA_NODES))
+    weights = np.repeat(wu / BLOCH_PHI_NODES, BLOCH_PHI_NODES)
     announcements, p, pf = _compiled_branches(protocol, 1, amps)
 
     per = []
@@ -242,6 +251,8 @@ def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: i
         raise ValueError("shots must be >= 100")
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    if seed < 0:  # before any worker seeds its stream
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     table = _trajectory_table(protocol, params)
     _, p, pf = _compiled_branches(protocol, params.m, table.amps[None])

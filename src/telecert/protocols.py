@@ -379,12 +379,16 @@ def _branch_maps(protocol: ProtocolId, k: int) -> tuple[tuple[Announcement, ...]
 
 
 def _branch_probabilities(t: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """p[n, b] = T_b at amplitude pairs amps[n], T from _branch_maps; checks sum_b p = 1."""
+    """p[n, b] = T_b at amplitude pairs amps[n], T from _branch_maps; checks sum_b p = 1.
+
+    Rounding-level negatives (-6.6e-33 on pa1's a = 0 branches at theta = pi)
+    are clipped to 0, so no negative probability or sampler threshold leaves.
+    """
     p = np.einsum("ni,nj,bij->nb", amps, amps.conj(), t).real
     error = np.abs(p.sum(axis=1) - 1.0)
     if error.max(initial=0.0) > 1e-9:
         raise ValueError(f"branch probabilities sum to {p.sum(axis=1)[error.argmax()]}")
-    return p
+    return np.maximum(p, 0.0)
 
 
 def _compiled_branches(protocol: ProtocolId, m: int, amps: np.ndarray

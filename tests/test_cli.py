@@ -339,7 +339,7 @@ def test_exit_codes(capsys):
             code, out, err = run_cli(capsys, "sweep", *argv)
             assert code == 2 and out == "" and err.count("\n") == 1
             assert "theta must be finite" in err
-    # an empty grid still validates m
+    # m is checked before the point count
     code, _, err = run_cli(capsys, "sweep", "--m", "0", "--points", "0")
     assert code == 2 and err == "error: m must be >= 1\n"
     # averages and computed thresholds read compiled maps, not per-point
@@ -443,6 +443,198 @@ def test_readme_command_runs(capsys, argv):
         assert rows and all(None not in r.values() for r in rows)
     else:
         json.loads(out)
+
+
+def _without_format(argv):
+    i = argv.index("--format") if "--format" in argv else len(argv)
+    return [*argv[:i], *argv[i + 2:]]
+
+
+@pytest.mark.parametrize("argv", [a for a in _readme_commands()
+                                  if a[0] in ("run", "sweep", "enumerate", "thresholds")],
+                         ids=lambda argv: " ".join(argv[:3]))
+def test_csv_rows_are_the_json_rows(capsys, argv):
+    argv = _without_format(argv)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    [rows] = [v for v in json.loads(out).values() if isinstance(v, list)]
+    want = [{k: str(v) for k, v in row.items()} for row in rows]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert list(csv.DictReader(io.StringIO(out))) == want
+
+
+@pytest.mark.parametrize("argv", [a for a in _readme_commands() if a[0] in ("average", "certify")],
+                         ids=lambda argv: " ".join(argv[:3]))
+def test_csv_refused_where_the_payload_holds_no_rows(capsys, argv):
+    code, out, err = run_cli(capsys, *_without_format(argv), "--format", "csv")
+    assert (code, out, err) == (2, "", "error: csv format is not available for this command\n")
+
+
+# Captured from an earlier build: --format table must keep printing these bytes.
+PINNED_RUN_TABLE = """\
+protocol = 'p0'
+m = 1
+family = 'bloch'
+theta = 1.0
+phi = 0.3
+mode = 'exact'
+f_th = 0.9999999999999996
+f_th_definition = 'sum over announcements of probability-weighted target overlap'
+per_branch:
+    a = 0
+    b = 0
+    probability = 0.2499999999999999
+    fidelity = 1.0
+  --
+    a = 0
+    b = 1
+    probability = 0.2499999999999999
+    fidelity = 1.0
+  --
+    a = 1
+    b = 0
+    probability = 0.2499999999999999
+    fidelity = 1.0
+  --
+    a = 1
+    b = 1
+    probability = 0.2499999999999999
+    fidelity = 1.0
+  --
+"""
+
+PINNED_THRESHOLDS_TABLE = """\
+m = 1
+family = 'bloch'
+thresholds:
+    model = 'honest'
+    certificate = 1
+    criterion = 'pointwise'
+    source = 'tabulated'
+    threshold = 1.0
+    provenance = 'honest-protocol bound: exact teleportation has fidelity 1'
+  --
+    model = 'honest'
+    certificate = 1
+    criterion = 'pointwise'
+    source = 'computed'
+    threshold = 1.0
+    provenance = 'computed: honest protocol fidelity (constant 1)'
+  --
+    model = 'cheating_a'
+    certificate = 3
+    criterion = 'pointwise'
+    source = 'tabulated'
+    threshold = 0.5
+    provenance = 'A-cheat optimum 1/2 (isolated qubit; equals the theta=0 maximum of the curve 1/2 - sin^2(theta)/4)'
+  --
+    model = 'cheating_a'
+    certificate = 3
+    criterion = 'pointwise'
+    source = 'computed'
+    threshold = 0.5000000000000001
+    provenance = 'computed: max over theta of enumerated f_th(pa1/pa2), m=1'
+  --
+    model = 'cheating_b'
+    certificate = 4
+    criterion = 'pointwise'
+    source = 'tabulated'
+    threshold = 0.5
+    provenance = 'B-cheat bound 1/2 (value of the trivial/isolated case)'
+  --
+    model = 'cheating_b'
+    certificate = 4
+    criterion = 'pointwise'
+    source = 'computed'
+    threshold = 0.49999999999999994
+    provenance = 'computed: max over theta of enumerated f_th(pb), m=1'
+  --
+    model = 'cheating_b'
+    certificate = 4
+    criterion = 'bloch_postselected'
+    source = 'tabulated'
+    threshold = 0.6666666666666666
+    provenance = 'postselected Bloch-sphere average 2/3 (outcome a=1 retained)'
+  --
+    model = 'cheating_b'
+    certificate = 4
+    criterion = 'bloch_postselected'
+    source = 'computed'
+    threshold = 0.6666666666666663
+    provenance = 'computed: postselected Bloch-sphere average of pb (m=1)'
+  --
+    model = 'cheating_ab'
+    certificate = 5
+    criterion = 'pointwise'
+    source = 'tabulated'
+    threshold = 0.5
+    provenance = 'AB-cheat optimum 1/2 (isolated qubit and theta=0 maximum)'
+  --
+    model = 'cheating_ab'
+    certificate = 5
+    criterion = 'pointwise'
+    source = 'computed'
+    threshold = 0.5
+    provenance = 'computed: max over theta of enumerated f_th(pab), m=1'
+  --
+    model = 'cheating_ab'
+    certificate = 5
+    criterion = 'bloch_postselected'
+    source = 'tabulated'
+    threshold = 0.6666666666666666
+    provenance = 'postselected Bloch-sphere average 2/3 (outcome a=1 retained)'
+  --
+    model = 'cheating_ab'
+    certificate = 5
+    criterion = 'bloch_postselected'
+    source = 'computed'
+    threshold = 0.6666666666666663
+    provenance = 'computed: postselected Bloch-sphere average of pab (m=1)'
+  --
+"""
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("run", "--protocol", "p0", "--m", "1", "--family", "bloch", "--theta", "1.0",
+      "--phi", "0.3", "--mode", "exact"), PINNED_RUN_TABLE),
+    (("thresholds", "--m", "1", "--family", "bloch"), PINNED_THRESHOLDS_TABLE),
+], ids=["run", "thresholds"])
+def test_table_stdout_pinned(capsys, argv, want):
+    assert run_cli(capsys, *argv, "--format", "table") == (0, want, "")
+
+
+@pytest.mark.parametrize("argv,env,config,want", [
+    (("run", "--mode", "monte_carlo", "--seed", "-1"), None, None,
+     "error: seed must be >= 0, got -1\n"),
+    (("run", "--mode", "monte_carlo"), "-1", None, "error: seed must be >= 0, got -1\n"),
+    (("run", "--mode", "monte_carlo"), None, "seed=-1\n", "error: seed must be >= 0, got -1\n"),
+    (("average", "--quadrature", "gauss:abc"), None, None,
+     "error: quadrature resolution must be an integer, got 'gauss:abc'; "
+     "expected gauss:<n> or grid:<n>\n"),
+    (("average", "--quadrature", "gauss:1.5"), None, None,
+     "error: quadrature resolution must be an integer, got 'gauss:1.5'; "
+     "expected gauss:<n> or grid:<n>\n"),
+    (("average", "--quadrature", "gauss:"), None, None,
+     "error: quadrature resolution must be an integer, got 'gauss:'; "
+     "expected gauss:<n> or grid:<n>\n"),
+    (("sweep", "--points", "-3"), None, None, "error: points must be >= 1, got -3\n"),
+    (("sweep", "--points", "0"), None, None, "error: points must be >= 1, got 0\n"),
+    (("sweep", "--points", "0", "--format", "csv"), None, None,
+     "error: points must be >= 1, got 0\n"),
+], ids=["seed-flag", "seed-env", "seed-config", "gauss-abc", "gauss-1.5", "gauss-empty",
+        "points-negative", "points-zero", "points-zero-csv"])
+def test_bad_values_exit_2_naming_the_input(tmp_path, capsys, monkeypatch, argv, env, config,
+                                            want):
+    if env is None:
+        monkeypatch.delenv("TELECERT_SEED", raising=False)
+    else:
+        monkeypatch.setenv("TELECERT_SEED", env)
+    if config is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        argv = (*argv, "--config", str(cfg))
+    assert run_cli(capsys, *argv) == (2, "", want)
 
 
 def test_missing_config_file(capsys):

@@ -221,8 +221,8 @@ def _bloch_reference(protocol, theta_nodes_n, phi_nodes_n):
 
 @pytest.mark.parametrize("protocol", [ProtocolId.PB, ProtocolId.PAB])
 def test_bloch_average_matches_per_point_reference(protocol):
-    ref = _bloch_reference(protocol, 16, 4)
-    report = bloch_average(protocol, postselect=1, theta_nodes_n=16, phi_nodes_n=4)
+    ref = _bloch_reference(protocol, fidelity.BLOCH_THETA_NODES, fidelity.BLOCH_PHI_NODES)
+    report = bloch_average(protocol, postselect=1)
     for ann in report.per_announcement:
         p, plain, squared = ref[ann.a]
         table = p * squared if ann.a == 0 else p * squared / plain

@@ -316,6 +316,19 @@ def test_sampler_matches_per_row_oracle(protocol, theta):
                             for row in draws.tolist()]
 
 
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+@pytest.mark.parametrize("theta", [0.0, np.pi])
+@pytest.mark.parametrize("family", [InputFamily.GHZ, InputFamily.BLOCH])
+def test_trajectory_table_probabilities_are_non_negative(protocol, theta, family):
+    # off the maps, pa1's a = 0 branches at bloch theta = pi read -6.6e-33
+    # before clipping, and P(a = 0) read -1.3e-32
+    params = ghz(2, theta) if family is InputFamily.GHZ else bloch(theta, 0.3)
+    table = _trajectory_table(protocol, params)
+    assert np.all(table.probs >= 0.0)
+    for cond0 in table.thresholds:
+        assert cond0 is None or np.all((cond0 >= 0.0) & (cond0 <= 1.0))
+
+
 def test_trajectory_table_builds_outputs_lazily():
     # at theta = 0, pa1's a = 1 branches have p_b = 0 and no output to build
     params = ghz(2, 0.0)
