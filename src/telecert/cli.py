@@ -73,7 +73,11 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
         argv = argv[:1] + _config_tokens(path) + argv[1:]
     args = parser.parse_args(argv)
     if getattr(args, "seed", None) is None and os.environ.get(SEED_ENV):
-        args.seed = int(os.environ[SEED_ENV])
+        raw = os.environ[SEED_ENV]
+        try:
+            args.seed = int(raw)
+        except ValueError:
+            raise ValueError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
     return args
 
 

@@ -11,7 +11,10 @@ of the per-announcement linear maps E_b that protocols._branch_maps compiles
 from four interpreter runs per (protocol, k = min(m, 2)), through
 protocols._compiled_branches. exact_report enumerates the branches at one
 point with the interpreter (run_exact); it is the reference the maps are
-tested against. Monte Carlo estimates read the target's entry of
+tested against. The Gauss-Legendre rules behind the averages (theta_nodes'
+gauss:<n>, bloch_average's rule in cos(theta)) are computed once per
+resolution per process, on first use, and shared as read-only arrays.
+Monte Carlo estimates read the target's entry of
 protocols._trajectory_table, the table run_sampled reads, for the
 announcements and the sampler's thresholds, and the branch fidelities off the
 same maps; they are reduced through outcome tallies, so results are
@@ -23,6 +26,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,11 +123,19 @@ def _parse_quadrature(text: str) -> tuple[str, int]:
     return kind, n
 
 
+@lru_cache(maxsize=8)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """leggauss(n), computed on the first call for n and shared read-only after it."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def theta_nodes(quadrature: str = "gauss:64") -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for averaging over theta uniform on [0, pi)."""
     kind, n = _parse_quadrature(quadrature)
     if kind == "gauss":
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = _gauss_legendre(n)
         return (x + 1) * (np.pi / 2), w / 2
     thetas = (np.arange(n) + 0.5) * (np.pi / n)
     return thetas, np.full(n, 1.0 / n)
@@ -202,7 +214,7 @@ def bloch_average(protocol: ProtocolId, postselect: int | None = None) -> BlochA
     if postselect is not None and postselect not in (0, 1):
         raise ValueError("postselect must be 0, 1, or None")
 
-    u, wu = np.polynomial.legendre.leggauss(BLOCH_THETA_NODES)
+    u, wu = _gauss_legendre(BLOCH_THETA_NODES)
     wu = wu / 2  # d(cos theta)/2
     phis = (np.arange(BLOCH_PHI_NODES) + 0.5) * (2 * np.pi / BLOCH_PHI_NODES)
 

@@ -309,6 +309,26 @@ def test_seed_from_environment(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 33
 
 
+def test_seed_flag_wins_over_a_bad_environment_seed(capsys, monkeypatch):
+    monkeypatch.setenv("TELECERT_SEED", "abc")
+    code, out, err = run_cli(capsys, "run", "--protocol", "pa1", "--m", "1",
+                             "--mode", "monte_carlo", "--shots", "1000", "--seed", "5")
+    assert (code, err, json.loads(out)["seed"]) == (0, "", 5)
+
+
+def test_import_computes_nothing():
+    # Work moved into import would be paid by every command, however small.
+    code = ("import telecert.cli\n"
+            "from telecert import certify, fidelity, protocols\n"
+            "print([f.cache_info().currsize for f in (fidelity._gauss_legendre, "
+            "protocols._branch_maps, protocols._trajectory_table, "
+            "certify._computed_threshold)])")
+    env = dict(os.environ, PYTHONPATH=str(Path(telecert.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0]\n", "")
+
+
 def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "run", "--protocol", "p9")
     assert code == 2 and "unknown protocol" in err
@@ -608,6 +628,10 @@ def test_table_stdout_pinned(capsys, argv, want):
     (("run", "--mode", "monte_carlo", "--seed", "-1"), None, None,
      "error: seed must be >= 0, got -1\n"),
     (("run", "--mode", "monte_carlo"), "-1", None, "error: seed must be >= 0, got -1\n"),
+    (("run", "--mode", "monte_carlo"), "abc", None,
+     "error: TELECERT_SEED must be an integer, got 'abc'\n"),
+    (("run", "--mode", "monte_carlo"), "1.5", None,
+     "error: TELECERT_SEED must be an integer, got '1.5'\n"),
     (("run", "--mode", "monte_carlo"), None, "seed=-1\n", "error: seed must be >= 0, got -1\n"),
     (("average", "--quadrature", "gauss:abc"), None, None,
      "error: quadrature resolution must be an integer, got 'gauss:abc'; "
@@ -622,8 +646,8 @@ def test_table_stdout_pinned(capsys, argv, want):
     (("sweep", "--points", "0"), None, None, "error: points must be >= 1, got 0\n"),
     (("sweep", "--points", "0", "--format", "csv"), None, None,
      "error: points must be >= 1, got 0\n"),
-], ids=["seed-flag", "seed-env", "seed-config", "gauss-abc", "gauss-1.5", "gauss-empty",
-        "points-negative", "points-zero", "points-zero-csv"])
+], ids=["seed-flag", "seed-env", "seed-env-abc", "seed-env-1.5", "seed-config", "gauss-abc",
+        "gauss-1.5", "gauss-empty", "points-negative", "points-zero", "points-zero-csv"])
 def test_bad_values_exit_2_naming_the_input(tmp_path, capsys, monkeypatch, argv, env, config,
                                             want):
     if env is None:

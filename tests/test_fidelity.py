@@ -5,6 +5,7 @@ import pytest
 
 from telecert import fidelity, protocols
 from telecert.channels import RngStream
+from telecert.cli import main
 from telecert.fidelity import (
     CHUNK_SHOTS,
     bloch_average,
@@ -248,6 +249,72 @@ def test_average_fidelity_from_entanglement_fidelity(protocol):
                                                                  float(phi))).f_th
                        for ui, wi in zip(u, wu) for phi in phis)
     assert abs((2 * f_e + 1) / 3 - sphere) <= COMPILED_TOL
+
+
+QUADRATURES = ("gauss:2", "gauss:64", "grid:64")
+
+
+def _average_hexes():
+    """Every theta_average and bloch_average float the rule cache feeds, as hex strings."""
+    thetas = [theta_average(p, 2, q).hex() for p in ProtocolId for q in QUADRATURES]
+    blochs = []
+    for protocol in (ProtocolId.PB, ProtocolId.PAB):
+        report = bloch_average(protocol, postselect=1)
+        blochs.append(report.postselected.hex())
+        blochs.extend(x.hex() for ann in report.per_announcement
+                      for x in (ann.branch_probability, ann.plain_average, ann.squared_average))
+    return thetas, blochs
+
+
+def _theta_average_reference(protocol, quadrature):
+    """theta_average with its rule built here, from leggauss or the midpoint formula."""
+    kind, n_text = quadrature.split(":")
+    n = int(n_text)
+    if kind == "gauss":
+        x, w = np.polynomial.legendre.leggauss(n)
+        thetas, weights = (x + 1) * (np.pi / 2), w / 2
+    else:
+        thetas, weights = (np.arange(n) + 0.5) * (np.pi / n), np.full(n, 1.0 / n)
+    return math.fsum(weights * fidelity.theta_curve(protocol, 2, thetas)).hex()
+
+
+def test_gauss_rule_cache_leaves_averages_bitwise_unchanged(monkeypatch):
+    fidelity._gauss_legendre.cache_clear()
+    cold = _average_hexes()
+    assert fidelity._gauss_legendre.cache_info().currsize == 2  # Bloch shares gauss:64's rule
+    warm = _average_hexes()
+    assert cold == warm
+    assert cold[0] == [_theta_average_reference(p, q) for p in ProtocolId for q in QUADRATURES]
+    monkeypatch.setattr(fidelity, "_gauss_legendre", np.polynomial.legendre.leggauss)
+    assert cold[1] == _average_hexes()[1]
+
+
+def test_gauss_rule_is_read_only_and_keyed_on_parsed_n():
+    fidelity._gauss_legendre.cache_clear()
+    fidelity.theta_nodes("gauss:64")
+    fidelity.theta_nodes(" GAUSS:64")
+    info = fidelity._gauss_legendre.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for arr in fidelity._gauss_legendre(64):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_failed_gauss_rule_is_not_cached(monkeypatch, capsys):
+    want = theta_average(ProtocolId.PA1, 2, "gauss:48")
+    fidelity._gauss_legendre.cache_clear()
+
+    def exhausted(n):
+        raise MemoryError(f"no room for a {n}-node rule")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", exhausted)
+    with pytest.raises(MemoryError):
+        theta_average(ProtocolId.PA1, 2, "gauss:48")
+    assert main(["average", "--quadrature", "gauss:48"]) == 3
+    assert capsys.readouterr() == ("", "capacity error: no room for a 48-node rule\n")
+    assert fidelity._gauss_legendre.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert theta_average(ProtocolId.PA1, 2, "gauss:48").hex() == want.hex()
 
 
 # Hex floats of the per-point path (exact_report: f_th, then (probability,
