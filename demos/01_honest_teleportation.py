@@ -21,12 +21,12 @@ from telecert import (
 # A single qubit on the Bloch sphere, theta = 2pi/5, phi = 1.2
 params = ProtocolParams(m=1, family=InputFamily.BLOCH, theta=2 * np.pi / 5, phi=1.2)
 target = build_target(params)
-print("target amplitudes:", np.round(target.psi.amplitudes, 6))
+print("target amplitudes:", np.round(target.logical.amplitudes, 6))
 
 print("\nEnumerating the four announcement branches of the honest run:")
 for branch in run_exact(ProtocolId.P0, params):
     ann = branch.announcement
-    same = np.allclose(branch.output.matrix, to_density(target.psi).matrix, atol=1e-12)
+    same = np.allclose(branch.logical.matrix, to_density(target.logical).matrix, atol=1e-12)
     print(f"  (a, b) = ({ann.a}, {ann.b})  probability = {branch.probability:.4f}"
           f"  delivered state equals target: {same}")
 
@@ -42,6 +42,6 @@ print(f"entangled-share case (m = 2): f_th = {report.f_th:.12f}")
 # Each branch output lives on C's ancilla plus the delivered qubit, and every
 # announcement leads to the same state: the announcement carries no
 # information about the target.
-outputs = [b.output.matrix for b in run_exact(ProtocolId.P0, params)]
+outputs = [b.logical.matrix for b in run_exact(ProtocolId.P0, params)]
 print("all four branch outputs identical:",
       all(np.allclose(outputs[0], o, atol=1e-12) for o in outputs[1:]))

@@ -4,15 +4,16 @@ Subcommands: run, sweep, average, certify, enumerate, thresholds. Angles are
 radians. A config file (--config, KEY=VALUE lines, same keys as the long
 flags) is parsed as those flags placed before the command line's own, so
 flags win and a bad key or value exits 2 as the flag would; TELECERT_SEED
-gives a seed neither gives. Each cmd_* returns its payload dict, and main
-prints it through _emit, the one stdout writer: canonical JSON, an indented
-table, or CSV of the rows the payload holds (run, sweep, enumerate,
-thresholds; average and certify hold none and exit 2 under --format csv).
+gives run --mode monte_carlo a seed neither gives, and nothing else reads
+it. Each cmd_* returns its payload dict, and main prints it through _emit,
+the one stdout writer: canonical JSON, an indented table, or CSV of the rows
+the payload holds (run, sweep, enumerate, thresholds; average and certify
+hold none and exit 2 under --format csv).
 Output is deterministic for a fixed (config, seed): no timestamps, canonical
 JSON key order, full-precision floats.
 
-Exit codes: 0 success, 2 configuration error, 3 register capacity exceeded
-or memory exhausted.
+Exit codes: 0 success, 2 configuration error, 3 memory exhausted. m is a
+label, not a register size: every command accepts any m >= 1.
 """
 from __future__ import annotations
 
@@ -37,7 +38,6 @@ from .certify import (
 )
 from .fidelity import exact_report, monte_carlo_threshold, theta_average, theta_sweep
 from .protocols import InputFamily, ProtocolId, ProtocolParams, run_exact
-from .statevec import CapacityError
 
 SEED_ENV = "TELECERT_SEED"
 
@@ -64,21 +64,14 @@ def _config_tokens(path: str) -> list[str]:
 
 
 def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse argv with the --config file's flags right after the subcommand, then TELECERT_SEED."""
+    """Parse argv with the --config file's flags placed right after the subcommand."""
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", nargs="?")  # a missing value is the full parse's error
     path = config.parse_known_args(argv)[0].config
     if path:
         # argv[0] is the subcommand: no top-level option takes a value
         argv = argv[:1] + _config_tokens(path) + argv[1:]
-    args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and os.environ.get(SEED_ENV):
-        raw = os.environ[SEED_ENV]
-        try:
-            args.seed = int(raw)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
-    return args
+    return parser.parse_args(argv)
 
 
 def _params_from(args) -> ProtocolParams:
@@ -125,9 +118,15 @@ def cmd_run(args) -> dict:
     if args.mode == "exact":
         report = exact_report(protocol, params)
     else:
-        if args.seed is None:
+        seed, raw = args.seed, os.environ.get(SEED_ENV)
+        if seed is None and raw:  # read only here, the one command that uses a seed
+            try:
+                seed = int(raw)
+            except ValueError:
+                raise ValueError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
+        if seed is None:
             raise ValueError("monte_carlo mode requires a seed (flag, config, or env)")
-        report = monte_carlo_threshold(protocol, params, args.shots, args.seed,
+        report = monte_carlo_threshold(protocol, params, args.shots, seed,
                                        threads=args.threads)
     payload = {
         "protocol": report.protocol.value,
@@ -300,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse(parser, argv)
         _emit(args.func(args), args.format)
         return 0
-    except (CapacityError, MemoryError) as exc:
+    except MemoryError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

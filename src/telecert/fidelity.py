@@ -42,7 +42,6 @@ from .protocols import (
     _sample_branch_indices,
     _trajectory_table,
     build_target,
-    logical_target,
     run_exact,
     target_amplitudes,
 )
@@ -72,12 +71,11 @@ def threshold_fidelity(branches: list[Branch], target: TargetState,
                        protocol: ProtocolId | None = None,
                        params: ProtocolParams | None = None) -> FidelityReport:
     """Announcement-summed fidelity of an exact branch set against the target."""
-    m = target.psi.num_qubits  # checked here: logical states cannot tell m = 3 from m = 4
+    m = target.m  # checked here: logical states cannot tell m = 3 from m = 4
     if any(br.m != m for br in branches):
         raise ValueError(f"dimension mismatch: branches are not at the target's m = {m}")
-    psi = logical_target(target)
     per = [BranchFidelity(br.announcement, br.probability,
-                          expectation(br.logical, psi) if br.logical is not None else 0.0)
+                          0.0 if br.logical is None else expectation(br.logical, target.logical))
            for br in branches]
     f_th = math.fsum(bf.probability * bf.fidelity for bf in per)
     if not -1e-12 <= f_th <= 1 + 1e-12:

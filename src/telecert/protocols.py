@@ -1,8 +1,9 @@
 """Agent-level semantics for the five teleportation protocols.
 
-No agent touches C's m - 1 ancillas, and every target build_target writes
-has support only on |0..0> and |1..1>, so the ancillas act as one logical
-qubit. A run holds k = min(m, 2) share qubits plus D's pair, at most four:
+No agent touches C's m - 1 ancillas, and every target has support only on
+|0..0> and |1..1>, so the ancillas act as one logical qubit and m is a label:
+a target is held only in its logical form (TargetState), and a run holds
+k = min(m, 2) share qubits plus D's pair, at most four, for any m:
 
     0 .. k-2   C's ancillas, |0..0> and |1..1> read as |0> and |1> (none if m = 1)
     k-1        the share C hands to the sender A
@@ -25,21 +26,22 @@ unnormalized pure components whose outer products sum to its state: trashing
 a qubit splits every component into its two slices along that qubit (the
 Kraus picture of the partial trace), so only a trash or a fake adds
 components, and the table never measures after one. Each branch output is
-built once, over C's logical ancilla and the qubit B delivers; Branch.output
-lifts it to m qubits when read. Outputs are normalized; the sub-normalized
+built once, over C's logical ancilla and the qubit B delivers; only
+Branch.output, when read, builds the dense m-qubit form, and it raises
+CapacityError past REGISTER_CAP. Outputs are normalized; the sub-normalized
 operator is probability * output. B's fake commutes with A's operations
 (disjoint registers), so running it after A's, as the table does, is
 equivalent to any interleaving (the test suite checks this against an
 independent simulation that orders B first).
 
 One interpreter, _run, runs the table on a logical target and keeps both
-outcomes of every measure and coin; run_exact (one point, the reference) and
-_branch_maps are its callers. Branch outputs are linear in the input (Nielsen
-& Chuang, section 8.2), so _branch_maps caches each protocol's
-per-announcement maps E_b from four runs. _compiled_branches (grids) and
-run_sampled (one trajectory) evaluate them at target_amplitudes, the one
-writer of a target's two logical amplitudes, and read p_b through
-_branch_probabilities, the one probability-sum check.
+outcomes of every measure and coin; _branches sorts its output by
+announcement for run_exact (one point, the reference) and _branch_maps.
+Branch outputs are linear in the input (Nielsen & Chuang, section 8.2), so
+_branch_maps caches each protocol's per-announcement maps E_b from four runs.
+_compiled_branches (grids) and run_sampled (one trajectory) evaluate them at
+target_amplitudes, the one writer of a target's two logical amplitudes, and
+read p_b through _branch_probabilities, the one probability-sum check.
 
 run_sampled reads a per-target trajectory table, _trajectory_table, an LRU
 cache of at most 256 (protocol, params) entries beside _branch_maps. An entry
@@ -48,8 +50,8 @@ holds the target's amplitudes, p_b and the sampler's per-bit thresholds
 validated logical output, built on the first call that draws that branch and
 never before: a branch that is never drawn may have p_b = 0 and no output.
 A call then draws one RngStream row, one draw per announced bit, through
-_sample_branch_indices, the one sampler, and lifts the drawn output to m
-qubits. Monte Carlo reads the same entry for its announcements and
+_sample_branch_indices, the one sampler, and returns the drawn branch's
+logical output. Monte Carlo reads the same entry for its announcements and
 thresholds, so only this module turns a target into sampler inputs, and
 repeated estimates at one target share the entry.
 """
@@ -136,8 +138,6 @@ class ProtocolParams:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.m + 2 > REGISTER_CAP:
-            raise CapacityError(f"m + 2 = {self.m + 2} exceeds register cap {REGISTER_CAP}")
         if self.family is InputFamily.BLOCH and self.m != 1:
             raise ValueError("bloch family requires m = 1")
         for name in ("theta", "phi"):
@@ -162,7 +162,8 @@ class Branch:
     """One announcement outcome of an exact run at share size m.
 
     logical is the normalized output on C's logical ancilla and B's qubit (None
-    on a zero-probability branch); output lifts it to m qubits when read.
+    on a zero-probability branch); output lifts it to m qubits when read, and
+    raises CapacityError where the dense form would not fit (m > 12).
     """
 
     announcement: Announcement
@@ -182,7 +183,10 @@ class Branch:
 
 @dataclass(frozen=True)
 class TargetState:
-    psi: PureState
+    """C's target at share size m, held only as its logical form on k = min(m, 2) qubits."""
+
+    m: int
+    logical: PureState
 
 
 def target_amplitudes(family: InputFamily, theta, phi=0.0) -> np.ndarray:
@@ -204,35 +208,32 @@ def target_amplitudes(family: InputFamily, theta, phi=0.0) -> np.ndarray:
     return amps
 
 
+def _logical_state(k: int, pair) -> PureState:
+    """The amplitude pair on |0..0> and |1..1> of k qubits, |0_L> and |1_L>."""
+    amps = np.zeros(2**k, dtype=complex)
+    amps[[0, -1]] = pair
+    return PureState(k, amps)
+
+
 def build_target(params: ProtocolParams) -> TargetState:
-    """The m-qubit state C prepares and later compares against.
+    """The state C prepares and later compares against, as its logical form at any m.
 
-    Its only weight is target_amplitudes on |0..0> and |1..1>, the action of
-    gates.ghz_rotation / gates.bloch_rotation on |0..0>.
+    That is target_amplitudes on |0..0> and |1..1>, the action of
+    gates.ghz_rotation / gates.bloch_rotation on |0..0>, on min(m, 2) qubits.
     """
-    amps = np.zeros(2**params.m, dtype=complex)
-    amps[[0, -1]] = target_amplitudes(params.family, params.theta, params.phi)
-    return TargetState(PureState(params.m, amps))
-
-
-def _support(m: int) -> list[int]:
-    """Indices of |0..0 x> and |1..1 x> among m-qubit labels, in order."""
-    return sorted({0, 1, 2**m - 2, 2**m - 1})
-
-
-def logical_target(target: TargetState) -> PureState:
-    """The target on k = min(m, 2) qubits; raises if it has weight off |0..0 x>, |1..1 x>."""
-    m = target.psi.num_qubits
-    psi = target.psi if m <= 2 else PureState(2, target.psi.amplitudes[_support(m)])
+    psi = _logical_state(min(params.m, 2),
+                         target_amplitudes(params.family, params.theta, params.phi))
     psi.require_normalized()
-    return psi
+    return TargetState(params.m, psi)
 
 
 def _lift(rho: DensityOperator | None, m: int) -> DensityOperator | None:
     """A logical output as the m-qubit density it stands for; the identity when k == m."""
     if rho is None or rho.num_qubits == m:
         return rho
-    idx = _support(m)
+    if 2 * m > REGISTER_CAP:  # more entries than the cap allows one array
+        raise CapacityError(f"a dense {m}-qubit output has 4^{m} entries, over 2^{REGISTER_CAP}")
+    idx = sorted({0, 1, 2**m - 2, 2**m - 1})  # |0..0 x> and |1..1 x>
     full = np.zeros((2**m, 2**m), dtype=complex)
     full[np.ix_(idx, idx)] = rho.matrix
     return DensityOperator(m, full)
@@ -310,10 +311,6 @@ def _run(protocol: ProtocolId, psi: PureState) -> list[tuple[dict[str, int], flo
     return branches
 
 
-def _announcement(bits: dict[str, int]) -> Announcement:
-    return Announcement(bits["a"], bits.get("b"))
-
-
 def _density(comps: list[PureState]) -> np.ndarray:
     """Sum of |c><c| over components, halves first: the order of successive partial traces."""
     if len(comps) == 1:
@@ -329,6 +326,14 @@ def _output(comps: list[PureState] | None) -> DensityOperator | None:
     return None if comps is None else DensityOperator(comps[0].num_qubits, _density(comps))
 
 
+def _branches(protocol: ProtocolId, psi: PureState
+              ) -> list[tuple[Announcement, float, DensityOperator | None]]:
+    """_run's branches on psi as (announcement, probability, output), in announcement order."""
+    out = [(Announcement(bits["a"], bits.get("b")), p, _output(comps))
+           for bits, p, comps in _run(protocol, psi)]
+    return sorted(out, key=lambda br: br[0].key())
+
+
 def run_exact(protocol: ProtocolId, params: ProtocolParams) -> list[Branch]:
     """Enumerate every announcement branch with its exact probability.
 
@@ -336,9 +341,8 @@ def run_exact(protocol: ProtocolId, params: ProtocolParams) -> list[Branch]:
     1/2 each, so P0, PA1, PA2 and PB have four branches and PAB has two.
     Branches are sorted by announcement bits; probabilities sum to one.
     """
-    out = [Branch(_announcement(bits), p, _output(comps), params.m)
-           for bits, p, comps in _run(protocol, logical_target(build_target(params)))]
-    return sorted(out, key=lambda br: br.announcement.key())
+    return [Branch(ann, p, out, params.m)
+            for ann, p, out in _branches(protocol, build_target(params).logical)]
 
 
 @lru_cache(maxsize=10)
@@ -357,11 +361,7 @@ def _branch_maps(protocol: ProtocolId, k: int) -> tuple[tuple[Announcement, ...]
     ends = [0, 2**k - 1]  # |0_L> = |0..0>, |1_L> = |1..1>
 
     def images(a0: complex, a1: complex) -> tuple[list[Announcement], np.ndarray]:
-        amps = np.zeros(2**k, dtype=complex)
-        amps[ends] = a0, a1
-        branches = [(_announcement(bits), p, _output(comps))
-                    for bits, p, comps in _run(protocol, PureState(k, amps))]
-        branches.sort(key=lambda br: br[0].key())
+        branches = _branches(protocol, _logical_state(k, (a0, a1)))
         subs = [np.zeros((2**k, 2**k)) if out is None else p * out.matrix
                 for _, p, out in branches]  # a zero-probability branch maps to zero
         return [ann for ann, _, _ in branches], np.array(subs)
@@ -502,10 +502,11 @@ def run_sampled(protocol: ProtocolId, params: ProtocolParams,
 
     p_b is T_b at the target's logical amplitudes t. One row of draws, one per
     announced bit in (a, b) order, picks b; the output is E_b(|t><t|) / p_b,
-    lifted to m qubits. Mutates rng, and fills the bounded per-target cache
-    (_trajectory_table) on the first call at a target or branch.
+    the logical output run_exact's Branch.logical holds. Mutates rng, and
+    fills the bounded per-target cache (_trajectory_table) on the first call
+    at a target or branch.
     """
     table = _trajectory_table(protocol, params)
     [b] = _sample_branch_indices(table.thresholds,
                                  rng.uniform_block((1, len(table.thresholds)))).tolist()
-    return table.announcements[b], _lift(table.output(b), params.m)
+    return table.announcements[b], table.output(b)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -332,15 +333,10 @@ def test_import_computes_nothing():
 def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "run", "--protocol", "p9")
     assert code == 2 and "unknown protocol" in err
-    code, _, err = run_cli(capsys, "run", "--protocol", "p0", "--m", "30",
-                           "--family", "ghz")
-    assert code == 3 and "capacity" in err
-    code, out, _ = run_cli(capsys, "run", "--protocol", "p0", "--m", "20",
-                           "--family", "ghz")
-    assert code == 0 and json.loads(out)["f_th"] == pytest.approx(1.0, abs=1e-12)
-    code, _, err = run_cli(capsys, "run", "--protocol", "p0", "--m", "23",
-                           "--family", "ghz")
-    assert code == 3 and "exceeds register cap 24" in err
+    # m is a label, not a register size: no m >= 1 is refused
+    for m in ("20", "23", "30"):
+        code, out, err = run_cli(capsys, "run", "--protocol", "p0", "--m", m, "--family", "ghz")
+        assert (code, err) == (0, "") and json.loads(out)["f_th"] == pytest.approx(1.0, abs=1e-12)
     code, _, err = run_cli(capsys, "run", "--protocol", "p0", "--mode", "monte_carlo")
     assert code == 2 and "seed" in err
     code, _, err = run_cli(capsys, "certify", "--model", "cheating_a")
@@ -369,9 +365,11 @@ def test_exit_codes(capsys):
         assert code == 2 and err == "error: m must be >= 1\n"
     for argv in (("average", "--m", "23"), ("thresholds", "--m", "23", "--family", "ghz"),
                  ("certify", "--model", "cheating_a", "--criterion", "pointwise",
-                  "--family", "ghz", "--m", "23", "--self")):
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 3 and err == "capacity error: m + 2 = 25 exceeds register cap 24\n"
+                  "--family", "ghz", "--m", "23", "--self"),
+                 ("certify", "--model", "cheating_a", "--family", "ghz", "--m", "30",
+                  "--observed", "0.6")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and json.loads(out)
     # certify and thresholds refuse the (m, family) pairs run refuses, with its messages
     for argv, want in (
             (("certify", "--model", "cheating_a", "--m", "0", "--observed", "0.6"),
@@ -379,7 +377,7 @@ def test_exit_codes(capsys):
             (("certify", "--model", "cheating_a", "--m", "-3", "--observed", "0.6"),
              (2, "error: m must be >= 1\n")),
             (("certify", "--model", "cheating_a", "--m", "30", "--observed", "0.6"),
-             (3, "capacity error: m + 2 = 32 exceeds register cap 24\n")),
+             (2, "error: bloch family requires m = 1\n")),
             (("certify", "--model", "cheating_b", "--criterion", "bloch_postselected",
               "--family", "bloch", "--m", "2", "--observed", "0.7"),
              (2, "error: bloch family requires m = 1\n")),
@@ -463,6 +461,27 @@ def test_readme_command_runs(capsys, argv):
         assert rows and all(None not in r.values() for r in rows)
     else:
         json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [a for a in _readme_commands() if a[a.index("--m") + 1] == "2"],
+                         ids=lambda argv: " ".join(argv[:3]))
+def test_readme_command_at_any_m(capsys, argv):
+    # every value at m >= 2 is the m = 2 value; only the m field and the
+    # m=<m> of provenance strings change, and nothing is allocated per qubit
+    i = argv.index("--m") + 1
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == 0
+    for m in ("23", "1000000"):
+        proc = _run_capped(*argv[:i], m, *argv[i + 1:])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == re.sub(r'("m": |m=)2\b', rf"\g<1>{m}", want)
+
+
+def test_seed_environment_is_read_only_where_a_seed_is_used(capsys, monkeypatch):
+    monkeypatch.setenv("TELECERT_SEED", "abc")
+    for argv in (("sweep", "--points", "2"), ("run", "--mode", "exact")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and json.loads(out)
 
 
 def _without_format(argv):

@@ -18,7 +18,7 @@ from telecert.protocols import (
     run_exact,
     run_sampled,
 )
-from telecert.statevec import partial_trace, to_density
+from telecert.statevec import CapacityError, partial_trace, to_density
 
 import oracle
 
@@ -36,20 +36,24 @@ def bloch(theta, phi):
 
 def test_build_target_examples():
     got = build_target(ProtocolParams(m=3, family=InputFamily.TRIVIAL))
-    np.testing.assert_allclose(got.psi.amplitudes, np.eye(8)[0], atol=1e-15)
+    assert got.m == 3
+    np.testing.assert_allclose(got.logical.amplitudes, np.eye(4)[0], atol=1e-15)
 
     got = build_target(ghz(2, np.pi / 2))
-    np.testing.assert_allclose(got.psi.amplitudes, [1 / SQ2, 0, 0, 1 / SQ2], atol=1e-15)
+    np.testing.assert_allclose(got.logical.amplitudes, [1 / SQ2, 0, 0, 1 / SQ2], atol=1e-15)
 
     got = build_target(bloch(np.pi / 2, np.pi))
-    np.testing.assert_allclose(got.psi.amplitudes, [1 / SQ2, -1 / SQ2], atol=1e-12)
+    np.testing.assert_allclose(got.logical.amplitudes, [1 / SQ2, -1 / SQ2], atol=1e-12)
 
-    # the two amplitudes written directly are ghz_rotation's action on |0..0>
+    # the logical amplitudes are ghz_rotation's action on |0..0> at |0..0 x>
+    # and |1..1 x>, and the rest of that column is 0
     for m in (1, 2, 3, 4):
         for theta in (0.0, 0.7, np.pi / 2, 2.9):
-            want = gates.ghz_rotation(m, theta).entries[:, 0]
-            np.testing.assert_allclose(build_target(ghz(m, theta)).psi.amplitudes, want,
-                                       atol=1e-15)
+            column = gates.ghz_rotation(m, theta).entries[:, 0]
+            support = sorted({0, 1, 2**m - 2, 2**m - 1})
+            np.testing.assert_allclose(build_target(ghz(m, theta)).logical.amplitudes,
+                                       column[support], atol=1e-15)
+            np.testing.assert_allclose(np.delete(column, support), 0, atol=1e-15)
 
 
 def test_target_amplitudes_grid_and_non_finite_angles():
@@ -59,7 +63,7 @@ def test_target_amplitudes_grid_and_non_finite_angles():
         got = protocols.target_amplitudes(family, thetas, phis)
         for theta, phi, pair in zip(thetas, phis, got):
             want = build_target(ProtocolParams(m=1, family=family, theta=theta, phi=phi))
-            assert pair.tolist() == want.psi.amplitudes.tolist()
+            assert pair.tolist() == want.logical.amplitudes.tolist()
     # ProtocolParams's message, also where a grid bypasses ProtocolParams
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=f"^theta must be finite, got {bad}$"):
@@ -73,8 +77,7 @@ def test_params_validation():
         ProtocolParams(m=2, family=InputFamily.BLOCH)
     with pytest.raises(ValueError):
         ProtocolParams(m=0)
-    with pytest.raises(ValueError):
-        ProtocolParams(m=30, family=InputFamily.GHZ)
+    assert ProtocolParams(m=30, family=InputFamily.GHZ).m == 30  # m is a label, never refused
     with pytest.raises(ValueError):
         ProtocolId.parse("p7")
 
@@ -101,10 +104,10 @@ def test_enum_parse_messages():
 def test_p0_trivial_m1_four_equal_branches():
     branches = run_exact(ProtocolId.P0, ProtocolParams(m=1, family=InputFamily.TRIVIAL))
     assert len(branches) == 4
-    target = to_density(build_target(ProtocolParams(m=1, family=InputFamily.TRIVIAL)).psi)
+    target = to_density(build_target(ProtocolParams(m=1, family=InputFamily.TRIVIAL)).logical)
     for br in branches:
         assert br.probability == pytest.approx(0.25, abs=1e-12)
-        np.testing.assert_allclose(br.output.matrix, target.matrix, atol=1e-12)
+        np.testing.assert_allclose(br.logical.matrix, target.matrix, atol=1e-12)
 
 
 @pytest.mark.parametrize("params", [
@@ -113,14 +116,14 @@ def test_p0_trivial_m1_four_equal_branches():
     *[bloch(t, p) for t in np.linspace(0, np.pi, 20) for p in np.linspace(0, 2 * np.pi, 20)],
 ])
 def test_p0_is_exact_teleportation(params):
-    target = to_density(build_target(params).psi)
+    target = to_density(build_target(params).logical)
     branches = run_exact(ProtocolId.P0, params)
     for br in branches:
-        np.testing.assert_allclose(br.output.matrix, target.matrix, atol=1e-12)
+        np.testing.assert_allclose(br.logical.matrix, target.matrix, atol=1e-12)
     # announcement independence: all four outputs identical
-    first = branches[0].output.matrix
+    first = branches[0].logical.matrix
     for br in branches[1:]:
-        np.testing.assert_allclose(br.output.matrix, first, atol=1e-12)
+        np.testing.assert_allclose(br.logical.matrix, first, atol=1e-12)
 
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
@@ -223,11 +226,11 @@ def _pauli_conjugate(rho, z_pow, x_pow):
 def test_pa1_trash_equals_measure_and_discard():
     # replace A's trash by measure-and-forget on the same pre-measurement
     # state and rebuild the branch outputs; they must match exactly
-    from telecert.protocols import _with_ebit, logical_target
+    from telecert.protocols import _with_ebit
 
     params = ghz(2, 1.3)
     m = params.m
-    state = _with_ebit(logical_target(build_target(params)))  # after C's and D's steps
+    state = _with_ebit(build_target(params).logical)  # after C's and D's steps
     expected = {(br.announcement.a, br.announcement.b): br
                 for br in run_exact(ProtocolId.PA1, params)}
     for oa in measure_branches(state, m - 1):
@@ -243,8 +246,8 @@ def test_pa1_trash_equals_measure_and_discard():
             np.testing.assert_allclose(corrected_discard, br.output.matrix, atol=1e-12)
 
 
-def test_run_sampled_p0_and_pa2_outputs(monkeypatch):
-    target = to_density(build_target(ProtocolParams(m=1, family=InputFamily.TRIVIAL)).psi)
+def test_run_sampled_p0_and_pa2_outputs():
+    target = to_density(build_target(ProtocolParams(m=1, family=InputFamily.TRIVIAL)).logical)
     for seed in (0, 1, 2, 99):
         ann, rho = run_sampled(ProtocolId.P0, ProtocolParams(m=1, family=InputFamily.TRIVIAL),
                                RngStream(seed))
@@ -252,7 +255,8 @@ def test_run_sampled_p0_and_pa2_outputs(monkeypatch):
         ann, rho = run_sampled(ProtocolId.PA2, bloch(1.1, 0.2), RngStream(seed))
         np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
 
-    # every protocol: the sampled output is run_exact's output for the drawn announcement
+    # every protocol: the sampled output is run_exact's logical output for the
+    # drawn announcement
     cases = [ProtocolParams(m=m, family=InputFamily.TRIVIAL) for m in (1, 2, 3)]
     cases += [ghz(m, t) for m in (1, 2, 3, 4) for t in (0.0, 0.9, np.pi / 2, 2.4)]
     cases += [bloch(t, p) for t in (0.0, 1.1, 2.8) for p in (0.0, 0.2, 4.0)]
@@ -262,17 +266,25 @@ def test_run_sampled_p0_and_pa2_outputs(monkeypatch):
             rng = RngStream(5)
             for _ in range(6):
                 ann, rho = run_sampled(protocol, params, rng)
-                assert rho.num_qubits == params.m
-                np.testing.assert_allclose(rho.matrix, exact[ann].output.matrix, atol=1e-12)
+                assert rho.num_qubits == min(params.m, 2)
+                np.testing.assert_allclose(rho.matrix, exact[ann].logical.matrix, atol=1e-12)
 
-    # m = 22: a dense lift would hold 2^44 entries, so record what is lifted
-    monkeypatch.setattr(protocols, "_lift", lambda rho, m: (rho, m))
+    # m = 22: the same logical output, where a dense one would hold 2^44 entries
     for protocol in ALL_PROTOCOLS:
         params = ghz(22, 1.7)
         exact = {br.announcement: br for br in run_exact(protocol, params)}
-        ann, (logical, m) = run_sampled(protocol, params, RngStream(3))
-        assert m == 22
-        np.testing.assert_allclose(logical.matrix, exact[ann].logical.matrix, atol=1e-12)
+        ann, rho = run_sampled(protocol, params, RngStream(3))
+        np.testing.assert_allclose(rho.matrix, exact[ann].logical.matrix, atol=1e-12)
+
+
+def test_dense_output_past_the_cap_raises_capacity_error():
+    # 4^13 entries exceed the 2^24 one array may hold; the logical output stays
+    for br in run_exact(ProtocolId.P0, ghz(13, 0.8)):
+        assert br.logical.num_qubits == 2
+        with pytest.raises(CapacityError, match="^a dense 13-qubit output has 4\\^13 entries"):
+            br.output
+        with pytest.raises(CapacityError):
+            br.sub_normalized()
 
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
