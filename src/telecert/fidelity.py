@@ -254,8 +254,10 @@ def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: i
     `seed`, so the draws are a function of (seed, shot index) only. Each
     worker draws, samples and tallies its own chunks of CHUNK_SHOTS shots,
     started at their row with RngStream.skip, so memory is bounded by the
-    chunk, not the shot count. The reduction goes through integer outcome
-    tallies, which makes the estimate independent of chunking and thread count.
+    chunk, not the shot count. There is at most one worker per chunk and per
+    CPU the process may run on (its affinity mask). The reduction goes
+    through integer outcome tallies, which makes the estimate independent of
+    chunking and thread count.
     """
     if shots < 100:
         raise ValueError("shots must be >= 100")
@@ -277,7 +279,9 @@ def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: i
         return np.array([np.count_nonzero(idx == i) for i in range(len(fids))])
 
     starts = range(0, shots, CHUNK_SHOTS)
-    workers = min(threads, len(starts), os.cpu_count() or 1)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)  # the CPUs this process may run on
+    workers = min(threads, len(starts), cpus)
     with ThreadPoolExecutor(max_workers=workers) as ex:
         parts = list(ex.map(lambda w: sum(map(tally_chunk, starts[w::workers])),
                             range(workers)))

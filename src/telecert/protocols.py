@@ -51,9 +51,11 @@ validated logical output, built on the first call that draws that branch and
 never before: a branch that is never drawn may have p_b = 0 and no output.
 A call then draws one RngStream row, one draw per announced bit, through
 _sample_branch_indices, the one sampler, and returns the drawn branch's
-logical output. Monte Carlo reads the same entry for its announcements and
-thresholds, so only this module turns a target into sampler inputs, and
-repeated estimates at one target share the entry.
+logical output. The sampler costs one gather per bit (each row's threshold,
+picked by its earlier bits), for one row or a Monte Carlo chunk alike.
+Monte Carlo reads the same entry for its announcements and thresholds, so
+only this module turns a target into sampler inputs, and repeated estimates
+at one target share the entry.
 """
 from __future__ import annotations
 
@@ -442,19 +444,16 @@ def _sample_branch_indices(thresholds: tuple[np.ndarray | None, ...],
     """Branch indices in run_exact's order, one per row of draws; the one sampler.
 
     Column j of draws is the draw of bit j, with thresholds[j] from
-    _bit_thresholds. A measured bit is 1 when u >= P(0 | earlier bits), a coin
-    when u < 1/2. Branch index i has the bits of i, first bit highest; it
-    fits one byte, as do all per-shot arrays but draws.
+    _bit_thresholds. A measured bit is 1 when u >= P(0 | earlier bits), read
+    by one gather of each row's threshold at its prefix, for one row or a
+    Monte Carlo chunk alike; a coin is 1 when u < 1/2. Branch index i has the
+    bits of i, first bit highest, and fits one byte; the gather makes an
+    8-byte float per row.
     """
     idx = np.zeros(1, dtype=np.uint8)  # the empty prefix, broadcast over shots
     for j, cond0 in enumerate(thresholds):
-        if cond0 is None:
-            bit = draws[:, j] < 0.5
-        else:
-            bit = np.zeros(len(draws), dtype=bool)
-            for i, c in enumerate(cond0):  # one threshold per prefix, not a float per shot
-                bit |= (idx == i) & (draws[:, j] >= c)
-        idx = 2 * idx + bit
+        bit = draws[:, j] < 0.5 if cond0 is None else draws[:, j] >= cond0[idx]
+        idx = idx + idx + bit  # 2 * idx + bit, without a Python-scalar operand
     return idx
 
 

@@ -468,6 +468,28 @@ def test_monte_carlo_pool_is_bounded(monkeypatch):
     assert rep == ref
 
 
+def test_monte_carlo_pool_is_capped_at_the_cpus_it_may_run_on(monkeypatch):
+    # an affinity mask of one CPU gives one worker however many cores exist;
+    # where the OS has no mask, os.cpu_count() caps the pool
+    asked = []
+
+    class Recorder(fidelity.ThreadPoolExecutor):
+        def __init__(self, max_workers=None):
+            asked.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(fidelity, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(fidelity.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(fidelity.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    shots = 2 * CHUNK_SHOTS + 5  # three chunks
+    rep = monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=shots, seed=5, threads=3)
+    monkeypatch.delattr(fidelity.os, "sched_getaffinity")
+    monkeypatch.setattr(fidelity.os, "cpu_count", lambda: 2)
+    assert monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=shots, seed=5,
+                                 threads=3) == rep
+    assert asked == [1, 2]
+
+
 def test_monte_carlo_reads_only_the_compiled_maps(monkeypatch):
     # with the maps compiled, an estimate needs neither the interpreter, nor
     # an m-qubit target, nor exact_report

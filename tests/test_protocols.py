@@ -328,6 +328,34 @@ def test_sampler_matches_per_row_oracle(protocol, theta):
                             for row in draws.tolist()]
 
 
+def test_sampler_edges_by_hand():
+    # bits: measured, coin, measured; the last bit's threshold is read by
+    # its prefix 2 * bit0 + bit1. A measured bit is 1 at u >= threshold, so
+    # a draw equal to its threshold gives 1, threshold 0.0 always gives 1
+    # and 1.0 always 0; a coin is 1 at u < 1/2, so a draw of 0.5 gives 0.
+    below_half = np.nextafter(0.5, 0.0)
+    thresholds = (np.array([0.25]), None, np.array([0.0, 1.0, 0.5, 0.75]))
+    rows = [
+        ([0.25, 0.7, 0.0], 0b100),           # bit0 equal to its threshold; prefix 2: 0.0 < 0.5
+        ([0.2, 0.5, 0.0], 0b001),            # coin at 0.5 gives 0; prefix 0, threshold 0.0
+        ([0.2, 0.1, 0.9999999999999999], 0b010),  # prefix 1, threshold 1.0: the largest draw is 0
+        ([0.9, below_half, 0.75], 0b111),    # coin just below 1/2; prefix 3, draw equals 0.75
+        ([np.nextafter(0.25, 0.0), 0.9, 0.5], 0b001),  # just below 0.25; threshold 0.0
+        ([0.9, 0.9, below_half], 0b100),     # prefix 2, just below its threshold 0.5
+        ([0.9, 0.9, 0.5], 0b101),            # prefix 2, equal to its threshold 0.5
+    ]
+    draws = np.array([row for row, _ in rows])
+    block = _sample_branch_indices(thresholds, draws)
+    assert block.dtype == np.uint8
+    assert block.tolist() == [want for _, want in rows]
+    # the same rows one at a time, and a random block row by row
+    singles = [_sample_branch_indices(thresholds, row[None]).tolist() for row in draws]
+    assert singles == [[want] for _, want in rows]
+    draws = RngStream(23).uniform_block((500, 3))
+    assert _sample_branch_indices(thresholds, draws).tolist() == [
+        int(_sample_branch_indices(thresholds, row[None])[0]) for row in draws]
+
+
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
 @pytest.mark.parametrize("theta", [0.0, np.pi])
 @pytest.mark.parametrize("family", [InputFamily.GHZ, InputFamily.BLOCH])
