@@ -6,14 +6,25 @@ The threshold fidelity of a protocol run is the announcement sum
 
 i.e. the plain sum of target overlaps with the sub-normalized branch
 operators. Every grid of exact values (theta_sweep and theta_curve, the curve
-behind computed thresholds; theta_average, bloch_average) is one contraction
-of the per-announcement linear maps E_b that protocols._branch_maps compiles
-from four interpreter runs per (protocol, k = min(m, 2)), through
-protocols._compiled_branches. exact_report enumerates the branches at one
-point with the interpreter (run_exact); it is the reference the maps are
-tested against. The Gauss-Legendre rules behind the averages (theta_nodes'
-gauss:<n>, bloch_average's rule in cos(theta)) are computed once per
-resolution per process, on first use, and shared as read-only arrays.
+behind computed thresholds; theta_average's explicit rules, bloch_average)
+is one contraction of the per-announcement linear maps E_b that
+protocols._branch_maps compiles from four interpreter runs per (protocol,
+k = min(m, 2)), through protocols._compiled_branches. exact_report
+enumerates the branches at one point with the interpreter (run_exact); it
+is the reference the maps are tested against.
+
+The averages are exact. p_b is quadratic and p_b * f_b quartic in the
+target's amplitudes (Horodecki, Horodecki & Horodecki, PRA 60, 1888 (1999)),
+so theta_average's default contracts the maps with the closed-form
+half-circle moments of (cos(theta/2), sin(theta/2)) through
+protocols._averaged_branches, with no nodes. bloch_average reads the 12
+vertices of the icosahedron, a spherical 5-design (Delsarte, Goethals &
+Seidel, Geom. Dedicata 6, 363 (1977)): it averages every polynomial of
+degree <= 5 in the Bloch vector exactly, and a branch fidelity and its square
+are such polynomials wherever the announcement's probability does not depend
+on the state, which bloch_average checks. The Gauss-Legendre rules of the
+explicit gauss:<n> averages are computed once per resolution per process, on
+first use, and shared as read-only arrays.
 Monte Carlo estimates read the target's entry of
 protocols._trajectory_table, the table run_sampled reads, for the
 announcements and the sampler's thresholds, and the branch fidelities off the
@@ -24,7 +35,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,6 +48,7 @@ from .protocols import (
     ProtocolId,
     ProtocolParams,
     TargetState,
+    _averaged_branches,
     _compiled_branches,
     _sample_branch_indices,
     _trajectory_table,
@@ -45,7 +56,7 @@ from .protocols import (
     run_exact,
     target_amplitudes,
 )
-from .statevec import expectation
+from .statevec import ATOL_CONSTRUCT, expectation
 
 
 @dataclass(frozen=True)
@@ -107,10 +118,16 @@ def theta_sweep(protocol: ProtocolId, m: int, grid) -> list[tuple[float, float]]
 
 
 def _parse_quadrature(text: str) -> tuple[str, int]:
-    kind, _, n_s = text.partition(":")
+    """(kind, n) of exact, gauss:<n> or grid:<n>; exact has n = 0."""
+    kind, colon, n_s = text.partition(":")
     kind = kind.strip().lower()
+    if kind == "exact":
+        if colon:
+            raise ValueError(f"exact quadrature takes no resolution, got {text!r}")
+        return kind, 0
     if kind not in ("gauss", "grid"):
-        raise ValueError(f"unknown quadrature kind {kind!r}; expected gauss:<n> or grid:<n>")
+        raise ValueError(f"unknown quadrature kind {kind!r}; expected exact, gauss:<n> "
+                         "or grid:<n>")
     try:
         n = int(n_s)
     except ValueError:
@@ -130,8 +147,10 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def theta_nodes(quadrature: str = "gauss:64") -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for averaging over theta uniform on [0, pi)."""
+    """Nodes and weights of gauss:<n> or grid:<n> for theta uniform on [0, pi)."""
     kind, n = _parse_quadrature(quadrature)
+    if kind == "exact":
+        raise ValueError("the exact theta average has no nodes")
     if kind == "gauss":
         x, w = _gauss_legendre(n)
         return (x + 1) * (np.pi / 2), w / 2
@@ -150,8 +169,35 @@ def theta_curve(protocol: ProtocolId, m: int, thetas) -> np.ndarray:
     return pf.sum(axis=1)
 
 
-def theta_average(protocol: ProtocolId, m: int, quadrature: str = "gauss:64") -> float:
-    """Average of f_th(theta) for theta uniform on [0, pi), GHZ family."""
+# E[c^(2-w) s^w] and E[c^(4-w) s^w] for c = cos(theta/2), s = sin(theta/2)
+# and theta uniform on [0, pi), w = 0, 1, ...
+HALF_CIRCLE_QUADRATIC = (1 / 2, 1 / math.pi, 1 / 2)
+HALF_CIRCLE_QUARTIC = (3 / 8, 1 / (2 * math.pi), 1 / 8, 1 / (2 * math.pi), 3 / 8)
+
+
+@lru_cache(maxsize=1)
+def _half_circle_moments() -> tuple[np.ndarray, np.ndarray]:
+    """E[a_i a_j] and E[a_i a_j a_r a_c] for (a_0, a_1) = (c, s), read-only.
+
+    The amplitudes are real, so these are _averaged_branches' second and
+    fourth moments; w is the number of indices equal to 1.
+    """
+    second = np.take(HALF_CIRCLE_QUADRATIC, np.indices((2,) * 2).sum(axis=0))
+    fourth = np.take(HALF_CIRCLE_QUARTIC, np.indices((2,) * 4).sum(axis=0))
+    second.flags.writeable = fourth.flags.writeable = False
+    return second, fourth
+
+
+def theta_average(protocol: ProtocolId, m: int, quadrature: str = "exact") -> float:
+    """Average of f_th(theta) for theta uniform on [0, pi), GHZ family.
+
+    exact (the default) contracts the branch maps with the half-circle
+    moments (_half_circle_moments), with no nodes; gauss:<n> and grid:<n>
+    sum theta_curve over theta_nodes.
+    """
+    if _parse_quadrature(quadrature)[0] == "exact":
+        _, _, pf = _averaged_branches(protocol, m, *_half_circle_moments())
+        return math.fsum(pf)
     thetas, weights = theta_nodes(quadrature)
     return math.fsum(weights * theta_curve(protocol, m, thetas))
 
@@ -193,41 +239,52 @@ class BlochAverageReport:
     postselected: float | None = None
 
 
-# bloch_average's quadrature: nodes in cos(theta) and in phi
-BLOCH_THETA_NODES = 64
-BLOCH_PHI_NODES = 8
+@lru_cache(maxsize=1)
+def _icosahedron() -> np.ndarray:
+    """The Bloch-family amplitude pairs at the 12 vertices of the icosahedron, read-only.
+
+    The vertices are the cyclic permutations of (0, +-1, +-g) / |(0, 1, g)|,
+    g the golden ratio; equally weighted they form a spherical 5-design.
+    """
+    g = (1 + math.sqrt(5)) / 2
+    v = np.array([(0.0, a, b) for a in (-1.0, 1.0) for b in (-g, g)])
+    n = np.concatenate([np.roll(v, k, axis=1) for k in range(3)]) / math.hypot(1, g)
+    amps = target_amplitudes(InputFamily.BLOCH, np.arccos(n[:, 2]), np.arctan2(n[:, 1], n[:, 0]))
+    amps.flags.writeable = False
+    return amps
 
 
 def bloch_average(protocol: ProtocolId, postselect: int | None = None) -> BlochAverageReport:
     """Uniform Bloch-sphere averages of branch fidelities for PB or PAB (m = 1).
 
-    Quadrature is Gauss-Legendre in cos(theta) and midpoint in phi
-    (BLOCH_THETA_NODES x BLOCH_PHI_NODES), with the uniform sphere measure.
-    Announcement probabilities for these protocols do not depend on the
-    prepared state, so the per-announcement branch probability is reported
-    as the sphere average of the per-branch value.
+    The nodes are the 12 equally weighted vertices of the icosahedron
+    (_icosahedron), a spherical 5-design: their mean is the sphere average of
+    every polynomial of degree <= 5 in the Bloch vector n. An announcement's
+    p * f is quadratic in n, so its fidelity, p * f / p, and the square of it
+    are averaged exactly when its probability p does not depend on the
+    prepared state. That is the exactness condition, checked at the nodes
+    (to ATOL_CONSTRUCT); it holds for PB and PAB, and the per-announcement
+    branch probability is reported as the node mean of the per-branch value.
     """
     if protocol not in (ProtocolId.PB, ProtocolId.PAB):
         raise ValueError(f"bloch_average is defined for PB and PAB, not {protocol}")
     if postselect is not None and postselect not in (0, 1):
         raise ValueError("postselect must be 0, 1, or None")
 
-    u, wu = _gauss_legendre(BLOCH_THETA_NODES)
-    wu = wu / 2  # d(cos theta)/2
-    phis = (np.arange(BLOCH_PHI_NODES) + 0.5) * (2 * np.pi / BLOCH_PHI_NODES)
-
-    # nodes in (theta, phi) order, phi fastest: the order of the sums below
-    amps = target_amplitudes(InputFamily.BLOCH, np.repeat(np.arccos(u), BLOCH_PHI_NODES),
-                             np.tile(phis, BLOCH_THETA_NODES))
-    weights = np.repeat(wu / BLOCH_PHI_NODES, BLOCH_PHI_NODES)
-    announcements, p, pf = _compiled_branches(protocol, 1, amps)
+    announcements, p, pf = _compiled_branches(protocol, 1, _icosahedron())
+    nodes = len(p)
 
     per = []
     for a in (0, 1):
         group = [b for b, ann in enumerate(announcements) if ann.a == a]
-        fid = pf[:, group].sum(axis=1) / p[:, group].sum(axis=1)
-        per.append(AnnouncementAverage(a, math.fsum(weights * p[:, group[0]]),
-                                       math.fsum(weights * fid), math.fsum(weights * fid * fid)))
+        p_a = p[:, group].sum(axis=1)
+        if np.ptp(p_a) > ATOL_CONSTRUCT:
+            raise ValueError(f"announcement a = {a} has probability {p_a.min()} to "
+                             f"{p_a.max()} over the sphere; the 12-node average needs "
+                             "a constant one")
+        fid = pf[:, group].sum(axis=1) / p_a
+        per.append(AnnouncementAverage(a, math.fsum(p[:, group[0]]) / nodes,
+                                       math.fsum(fid) / nodes, math.fsum(fid * fid) / nodes))
     per = tuple(per)
     post = per[postselect].postselected_average if postselect is not None else None
     return BlochAverageReport(protocol, per, post)
@@ -265,6 +322,7 @@ def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: i
         raise ValueError("threads must be >= 1")
     if seed < 0:  # before any worker seeds its stream
         raise ValueError(f"seed must be >= 0, got {seed}")
+    from concurrent.futures import ThreadPoolExecutor  # on use: no other command needs it
 
     table = _trajectory_table(protocol, params)
     _, p, pf = _compiled_branches(protocol, params.m, table.amps[None])

@@ -40,8 +40,10 @@ announcement for run_exact (one point, the reference) and _branch_maps.
 Branch outputs are linear in the input (Nielsen & Chuang, section 8.2), so
 _branch_maps caches each protocol's per-announcement maps E_b from four runs.
 _compiled_branches (grids) and run_sampled (one trajectory) evaluate them at
-target_amplitudes, the one writer of a target's two logical amplitudes, and
-read p_b through _branch_probabilities, the one probability-sum check.
+target_amplitudes, the one writer of a target's two logical amplitudes;
+_averaged_branches contracts them with a target distribution's moments
+instead. All three read p_b through _checked_probabilities, the one
+probability-sum check.
 
 run_sampled reads a per-target trajectory table, _trajectory_table, an LRU
 cache of at most 256 (protocol, params) entries beside _branch_maps. An entry
@@ -380,31 +382,28 @@ def _branch_maps(protocol: ProtocolId, k: int) -> tuple[tuple[Announcement, ...]
     return tuple(announcements), e, r, t
 
 
-def _branch_probabilities(t: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """p[n, b] = T_b at amplitude pairs amps[n], T from _branch_maps; checks sum_b p = 1.
+def _checked_probabilities(p: np.ndarray) -> np.ndarray:
+    """p[n, b] after the check sum_b p = 1; the one probability-sum check.
 
     Rounding-level negatives (-6.6e-33 on pa1's a = 0 branches at theta = pi)
     are clipped to 0, so no negative probability or sampler threshold leaves.
     """
-    p = np.einsum("ni,nj,bij->nb", amps, amps.conj(), t).real
     error = np.abs(p.sum(axis=1) - 1.0)
     if error.max(initial=0.0) > 1e-9:
         raise ValueError(f"branch probabilities sum to {p.sum(axis=1)[error.argmax()]}")
     return np.maximum(p, 0.0)
 
 
-def _compiled_branches(protocol: ProtocolId, m: int, amps: np.ndarray
-                       ) -> tuple[tuple[Announcement, ...], np.ndarray, np.ndarray]:
-    """p_b and p_b * f_b at amplitude pairs amps[n]: exact_report's checks, once per grid.
+def _branch_probabilities(t: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """p[n, b] = T_b at amplitude pairs amps[n], T from _branch_maps, checked."""
+    return _checked_probabilities(np.einsum("ni,nj,bij->nb", amps, amps.conj(), t).real)
 
-    Adds m as ProtocolParams checks it, f_th in [0, 1] and an imaginary
-    overlap residue <= ATOL_CONSTRUCT.
+
+def _checked_overlaps(pf: np.ndarray) -> np.ndarray:
+    """The real part of p_b * f_b [n, b] after exact_report's checks.
+
+    Those are an imaginary overlap residue <= ATOL_CONSTRUCT and f_th in [0, 1].
     """
-    ProtocolParams(m=m, family=InputFamily.GHZ)  # raises for an m no run accepts
-    announcements, _, r, t = _branch_maps(protocol, min(m, 2))
-    p = _branch_probabilities(t, amps)
-    conj = amps.conj()
-    pf = np.einsum("nr,ni,nj,nc,bijrc->nb", conj, amps, conj, amps, r)
     residue = np.max(np.abs(pf.imag), initial=0.0)
     if residue > ATOL_CONSTRUCT:
         raise ValueError(f"expectation has imaginary residue {residue}")
@@ -412,6 +411,37 @@ def _compiled_branches(protocol: ProtocolId, m: int, amps: np.ndarray
     f_th = pf.sum(axis=1)
     if not np.all((-1e-12 <= f_th) & (f_th <= 1 + 1e-12)):
         raise ValueError(f"threshold fidelity outside [0, 1]: {f_th.min()}, {f_th.max()}")
+    return pf
+
+
+def _compiled_branches(protocol: ProtocolId, m: int, amps: np.ndarray
+                       ) -> tuple[tuple[Announcement, ...], np.ndarray, np.ndarray]:
+    """p_b and p_b * f_b at amplitude pairs amps[n]: exact_report's checks, once per grid.
+
+    Adds m as ProtocolParams checks it to the probability and overlap checks.
+    """
+    ProtocolParams(m=m, family=InputFamily.GHZ)  # raises for an m no run accepts
+    announcements, _, r, t = _branch_maps(protocol, min(m, 2))
+    p = _branch_probabilities(t, amps)
+    conj = amps.conj()
+    pf = np.einsum("nr,ni,nj,nc,bijrc->nb", conj, amps, conj, amps, r)
+    return announcements, p, _checked_overlaps(pf)
+
+
+def _averaged_branches(protocol: ProtocolId, m: int, second: np.ndarray, fourth: np.ndarray
+                       ) -> tuple[tuple[Announcement, ...], np.ndarray, np.ndarray]:
+    """The averages of p_b and p_b * f_b over a distribution of targets, from its moments.
+
+    p_b is linear in second[i, j] = E[a_i conj(a_j)] and p_b * f_b in
+    fourth[i, j, r, c] = E[conj(a_r) a_i conj(a_j) a_c] (the indices of R), so
+    one contraction each gives the exact averages, with no nodes.
+    _compiled_branches' checks apply to them: the m check, sum_b p_b = 1, the
+    residue and f_th in [0, 1].
+    """
+    ProtocolParams(m=m, family=InputFamily.GHZ)
+    announcements, _, r, t = _branch_maps(protocol, min(m, 2))
+    [p] = _checked_probabilities(np.einsum("ij,bij->b", second, t).real[None])
+    [pf] = _checked_overlaps(np.einsum("ijrc,bijrc->b", fourth, r)[None])
     return announcements, p, pf
 
 

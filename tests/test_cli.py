@@ -77,6 +77,10 @@ def test_average_command(capsys):
     payload = json.loads(out)
     assert payload["theta_average"] == pytest.approx(3 / 8, abs=1e-9)
     assert payload["criterion"] == "theta_average"
+    # the default is the closed form, with no nodes
+    code, out, _ = run_cli(capsys, "average", "--protocol", "pa1", "--m", "2")
+    payload = json.loads(out)
+    assert (code, payload["quadrature"], payload["theta_average"]) == (0, "exact", 0.375)
 
 
 def test_certify_observed(capsys):
@@ -322,12 +326,22 @@ def test_import_computes_nothing():
     code = ("import telecert.cli\n"
             "from telecert import certify, fidelity, protocols\n"
             "print([f.cache_info().currsize for f in (fidelity._gauss_legendre, "
+            "fidelity._half_circle_moments, fidelity._icosahedron, "
             "protocols._branch_maps, protocols._trajectory_table, "
             "certify._computed_threshold)])")
     env = dict(os.environ, PYTHONPATH=str(Path(telecert.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0, 0, 0]\n", "")
+
+
+def test_import_leaves_the_thread_pool_out():
+    # only Monte Carlo runs a pool; it imports concurrent.futures when called
+    code = "import sys, telecert.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(telecert.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_exit_codes(capsys):
@@ -454,8 +468,8 @@ def _readme_commands():
 
 @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: " ".join(argv[:3]))
 def test_readme_command_runs(capsys, argv):
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
     if "csv" in argv:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows and all(None not in r.values() for r in rows)
@@ -600,7 +614,7 @@ thresholds:
     certificate = 4
     criterion = 'bloch_postselected'
     source = 'computed'
-    threshold = 0.6666666666666663
+    threshold = 0.6666666666666666
     provenance = 'computed: postselected Bloch-sphere average of pb (m=1)'
   --
     model = 'cheating_ab'
@@ -628,7 +642,7 @@ thresholds:
     certificate = 5
     criterion = 'bloch_postselected'
     source = 'computed'
-    threshold = 0.6666666666666663
+    threshold = 0.6666666666666667
     provenance = 'computed: postselected Bloch-sphere average of pab (m=1)'
   --
 """
@@ -661,12 +675,17 @@ def test_table_stdout_pinned(capsys, argv, want):
     (("average", "--quadrature", "gauss:"), None, None,
      "error: quadrature resolution must be an integer, got 'gauss:'; "
      "expected gauss:<n> or grid:<n>\n"),
+    (("average", "--quadrature", "simpson:10"), None, None,
+     "error: unknown quadrature kind 'simpson'; expected exact, gauss:<n> or grid:<n>\n"),
+    (("average", "--quadrature", "exact:64"), None, None,
+     "error: exact quadrature takes no resolution, got 'exact:64'\n"),
     (("sweep", "--points", "-3"), None, None, "error: points must be >= 1, got -3\n"),
     (("sweep", "--points", "0"), None, None, "error: points must be >= 1, got 0\n"),
     (("sweep", "--points", "0", "--format", "csv"), None, None,
      "error: points must be >= 1, got 0\n"),
 ], ids=["seed-flag", "seed-env", "seed-env-abc", "seed-env-1.5", "seed-config", "gauss-abc",
-        "gauss-1.5", "gauss-empty", "points-negative", "points-zero", "points-zero-csv"])
+        "gauss-1.5", "gauss-empty", "kind-unknown", "exact-resolution", "points-negative",
+        "points-zero", "points-zero-csv"])
 def test_bad_values_exit_2_naming_the_input(tmp_path, capsys, monkeypatch, argv, env, config,
                                             want):
     if env is None:

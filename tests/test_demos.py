@@ -16,4 +16,4 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(telecert.__file__).parents[1]))
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
                           cwd=tmp_path, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, "")

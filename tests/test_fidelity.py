@@ -1,3 +1,5 @@
+import concurrent.futures
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +24,7 @@ from telecert.protocols import (
     InputFamily,
     ProtocolId,
     ProtocolParams,
+    _averaged_branches,
     _bit_thresholds,
     _branch_maps,
     _sample_branch_indices,
@@ -222,7 +225,7 @@ def _bloch_reference(protocol, theta_nodes_n, phi_nodes_n):
 
 @pytest.mark.parametrize("protocol", [ProtocolId.PB, ProtocolId.PAB])
 def test_bloch_average_matches_per_point_reference(protocol):
-    ref = _bloch_reference(protocol, fidelity.BLOCH_THETA_NODES, fidelity.BLOCH_PHI_NODES)
+    ref = _bloch_reference(protocol, 64, 8)
     report = bloch_average(protocol, postselect=1)
     for ann in report.per_announcement:
         p, plain, squared = ref[ann.a]
@@ -232,6 +235,93 @@ def test_bloch_average_matches_per_point_reference(protocol):
                           (ann.postselected_average, squared / plain), (ann.table_value, table)):
             assert abs(got - want) <= COMPILED_TOL
     assert abs(report.postselected - ref[1][2] / ref[1][1]) <= COMPILED_TOL
+
+
+def _sphere_moment(a, b, c):
+    """E[x^a y^b z^c] over the uniform unit sphere: (a-1)!!(b-1)!!(c-1)!!/(a+b+c+1)!!."""
+    if a % 2 or b % 2 or c % 2:
+        return 0.0
+    double = lambda n: math.prod(range(n, 0, -2))  # noqa: E731
+    return double(a - 1) * double(b - 1) * double(c - 1) / double(a + b + c + 1)
+
+
+def test_icosahedron_is_a_spherical_5_design():
+    # the Bloch vectors of the amplitude pairs bloch_average evaluates
+    a0, a1 = fidelity._icosahedron().T
+    assert len(a0) == 12
+    cross = 2 * a0.conj() * a1
+    n = np.stack([cross.real, cross.imag, abs(a0) ** 2 - abs(a1) ** 2])
+    np.testing.assert_allclose(np.linalg.norm(n, axis=0), 1.0, rtol=0, atol=1e-15)
+    assert _sphere_moment(2, 0, 0) == 1 / 3 and _sphere_moment(4, 0, 0) == 1 / 5
+    assert _sphere_moment(2, 2, 0) == 1 / 15
+    for a, b, c in itertools.product(range(6), repeat=3):
+        if a + b + c <= 5:
+            got = math.fsum(n[0] ** a * n[1] ** b * n[2] ** c) / 12
+            assert abs(got - _sphere_moment(a, b, c)) <= 1e-15, (a, b, c)
+
+
+@pytest.mark.parametrize("protocol", list(ProtocolId))
+def test_exact_theta_average_matches_gauss(protocol):
+    for m in (1, 2, 3):
+        exact = theta_average(protocol, m)
+        assert exact == theta_average(protocol, m, " EXACT ")
+        assert abs(exact - theta_average(protocol, m, "gauss:64")) <= 1e-12
+
+
+def test_exact_averages_reproduce_closed_forms():
+    assert abs(theta_average(ProtocolId.P0, 2) - 1) <= 1e-15
+    for protocol in (ProtocolId.PA1, ProtocolId.PA2, ProtocolId.PB, ProtocolId.PAB):
+        assert abs(theta_average(protocol, 1) - 1 / 2) <= 1e-15
+        for m in (2, 3):
+            assert abs(theta_average(protocol, m) - 3 / 8) <= 1e-15
+    for protocol, p_branch in ((ProtocolId.PB, 1 / 4), (ProtocolId.PAB, 1 / 2)):
+        report = bloch_average(protocol, postselect=1)
+        for ann in report.per_announcement:
+            for got, want in ((ann.branch_probability, p_branch), (ann.plain_average, 1 / 2),
+                              (ann.squared_average, 1 / 3), (ann.postselected_average, 2 / 3)):
+                assert abs(got - want) <= 1e-15
+        assert abs(report.postselected - 2 / 3) <= 1e-15
+
+
+def test_exact_theta_average_errors():
+    for quadrature in ("exact", "gauss:64"):
+        with pytest.raises(ValueError, match=r"^m must be >= 1$"):
+            theta_average(ProtocolId.PA1, 0, quadrature)
+    with pytest.raises(ValueError, match=r"^unknown quadrature kind 'simpson'; "
+                                         r"expected exact, gauss:<n> or grid:<n>$"):
+        theta_average(ProtocolId.PA1, 2, "simpson:10")
+    with pytest.raises(ValueError, match="exact quadrature takes no resolution"):
+        theta_average(ProtocolId.PA1, 2, "exact:64")
+    with pytest.raises(ValueError, match="no nodes"):
+        fidelity.theta_nodes("exact")
+
+
+def test_averaged_branches_keep_the_compiled_checks():
+    # the moment form runs _compiled_branches' checks on the averages
+    second, fourth = fidelity._half_circle_moments()
+    with pytest.raises(ValueError, match="branch probabilities sum to"):
+        _averaged_branches(ProtocolId.PA1, 2, 2 * second, fourth)
+    with pytest.raises(ValueError, match="imaginary residue"):
+        _averaged_branches(ProtocolId.PA1, 2, second, fourth + 1e-9j)
+    with pytest.raises(ValueError, match="outside"):
+        _averaged_branches(ProtocolId.PA1, 2, second, 3 * fourth)
+    with pytest.raises(ValueError, match=r"^m must be >= 1$"):
+        _averaged_branches(ProtocolId.PA1, 0, second, fourth)
+
+
+def test_bloch_average_checks_its_exactness_condition(monkeypatch):
+    # a fidelity is quadratic in the Bloch vector only where its announcement's
+    # probability is constant; the 12 nodes are exact only then
+    compiled = fidelity._compiled_branches
+
+    def tilted(protocol, m, amps):
+        announcements, p, pf = compiled(protocol, m, amps)
+        tilt = 1 + 1e-6 * (abs(amps[:, 0]) ** 2 - 1 / 2)
+        return announcements, p * tilt[:, None], pf
+
+    monkeypatch.setattr(fidelity, "_compiled_branches", tilted)
+    with pytest.raises(ValueError, match="needs a constant one"):
+        bloch_average(ProtocolId.PB, postselect=1)
 
 
 @pytest.mark.parametrize("protocol", list(ProtocolId))
@@ -281,7 +371,7 @@ def _theta_average_reference(protocol, quadrature):
 def test_gauss_rule_cache_leaves_averages_bitwise_unchanged(monkeypatch):
     fidelity._gauss_legendre.cache_clear()
     cold = _average_hexes()
-    assert fidelity._gauss_legendre.cache_info().currsize == 2  # Bloch shares gauss:64's rule
+    assert fidelity._gauss_legendre.cache_info().currsize == 2  # the Bloch average has none
     warm = _average_hexes()
     assert cold == warm
     assert cold[0] == [_theta_average_reference(p, q) for p in ProtocolId for q in QUADRATURES]
@@ -453,12 +543,12 @@ def test_monte_carlo_pool_is_bounded(monkeypatch):
     # recorder runs the work on one real thread whatever it was asked for
     asked = []
 
-    class Recorder(fidelity.ThreadPoolExecutor):
+    class Recorder(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers=None):
             asked.append(max_workers)
             super().__init__(max_workers=1)
 
-    monkeypatch.setattr(fidelity, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     shots = 2 * CHUNK_SHOTS + 5  # three chunks
     rep = monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=shots, seed=5,
                                 threads=10**6)
@@ -473,12 +563,12 @@ def test_monte_carlo_pool_is_capped_at_the_cpus_it_may_run_on(monkeypatch):
     # where the OS has no mask, os.cpu_count() caps the pool
     asked = []
 
-    class Recorder(fidelity.ThreadPoolExecutor):
+    class Recorder(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers=None):
             asked.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(fidelity, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(fidelity.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(fidelity.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     shots = 2 * CHUNK_SHOTS + 5  # three chunks
