@@ -26,17 +26,17 @@ unnormalized pure components whose outer products sum to its state: trashing
 a qubit splits every component into its two slices along that qubit (the
 Kraus picture of the partial trace), so only a trash or a fake adds
 components, and the table never measures after one. Each branch output is
-built once, over C's logical ancilla and the qubit B delivers; only
-Branch.output, when read, builds the dense m-qubit form, and it raises
-CapacityError past REGISTER_CAP. Outputs are normalized; the sub-normalized
-operator is probability * output. B's fake commutes with A's operations
-(disjoint registers), so running it after A's, as the table does, is
-equivalent to any interleaving (the test suite checks this against an
-independent simulation that orders B first).
+built once, over C's logical ancilla and the qubit B delivers, and a branch
+holds only that logical output, never a dense m-qubit form. Outputs are
+normalized; the sub-normalized operator is probability * logical. B's fake
+commutes with A's operations (disjoint registers), so running it after A's,
+as the table does, is equivalent to any interleaving (the test suite checks
+this against an independent simulation that orders B first).
 
 One interpreter, _run, runs the table on a logical target and keeps both
-outcomes of every measure and coin; _branches sorts its output by
-announcement for run_exact (one point, the reference) and _branch_maps.
+outcomes of every measure and coin, so its branches come out in draw order;
+_branches labels them for run_exact (one point, the reference) and
+_branch_maps.
 Branch outputs are linear in the input (Nielsen & Chuang, section 8.2), so
 _branch_maps caches each protocol's per-announcement maps E_b from four runs.
 _compiled_branches (grids) and run_sampled (one trajectory) evaluate them at
@@ -72,10 +72,8 @@ from . import gates
 from .channels import RngStream, _project, measure_branches
 from .statevec import (
     ATOL_CONSTRUCT,
-    CapacityError,
     DensityOperator,
     PureState,
-    REGISTER_CAP,
     apply_unitary,
     basis_state,
     tensor,
@@ -165,9 +163,9 @@ class Announcement:
 class Branch:
     """One announcement outcome of an exact run at share size m.
 
-    logical is the normalized output on C's logical ancilla and B's qubit (None
-    on a zero-probability branch); output lifts it to m qubits when read, and
-    raises CapacityError where the dense form would not fit (m > 12).
+    logical is the normalized output on k = min(m, 2) qubits, C's logical
+    ancilla (if m > 1) and B's qubit, or None on a zero-probability branch;
+    the m-qubit output it stands for is never built.
     """
 
     announcement: Announcement
@@ -175,14 +173,11 @@ class Branch:
     logical: DensityOperator | None
     m: int
 
-    @property
-    def output(self) -> DensityOperator | None:
-        return _lift(self.logical, self.m)
-
     def sub_normalized(self) -> DensityOperator:
+        """probability * logical, on the same k qubits; its trace is the probability."""
         if self.logical is None:
             raise ValueError("zero-probability branch has no output state")
-        return DensityOperator(self.m, self.probability * self.output.matrix)
+        return DensityOperator(self.logical.num_qubits, self.probability * self.logical.matrix)
 
 
 @dataclass(frozen=True)
@@ -229,18 +224,6 @@ def build_target(params: ProtocolParams) -> TargetState:
                          target_amplitudes(params.family, params.theta, params.phi))
     psi.require_normalized()
     return TargetState(params.m, psi)
-
-
-def _lift(rho: DensityOperator | None, m: int) -> DensityOperator | None:
-    """A logical output as the m-qubit density it stands for; the identity when k == m."""
-    if rho is None or rho.num_qubits == m:
-        return rho
-    if 2 * m > REGISTER_CAP:  # more entries than the cap allows one array
-        raise CapacityError(f"a dense {m}-qubit output has 4^{m} entries, over 2^{REGISTER_CAP}")
-    idx = sorted({0, 1, 2**m - 2, 2**m - 1})  # |0..0 x> and |1..1 x>
-    full = np.zeros((2**m, 2**m), dtype=complex)
-    full[np.ix_(idx, idx)] = rho.matrix
-    return DensityOperator(m, full)
 
 
 def _with_ebit(psi: PureState) -> PureState:
@@ -299,8 +282,9 @@ def _outcomes(op: str, comps: list[PureState] | None, qubit: int) -> list[tuple]
 def _run(protocol: ProtocolId, psi: PureState) -> list[tuple[dict[str, int], float, list | None]]:
     """Run PROTOCOL_OPS[protocol] on the k-qubit logical target psi.
 
-    Returns (bits, probability, components) branches; components is None on a
-    zero-probability branch and stays None below it.
+    Returns (bits, probability, components) branches in draw order (each
+    announcing op splits every branch into its 0 then its 1 outcome);
+    components is None on a zero-probability branch and stays None below it.
     """
     k = psi.num_qubits
     branches = [({}, 1.0, [_with_ebit(psi)])]
@@ -332,10 +316,9 @@ def _output(comps: list[PureState] | None) -> DensityOperator | None:
 
 def _branches(protocol: ProtocolId, psi: PureState
               ) -> list[tuple[Announcement, float, DensityOperator | None]]:
-    """_run's branches on psi as (announcement, probability, output), in announcement order."""
-    out = [(Announcement(bits["a"], bits.get("b")), p, _output(comps))
-           for bits, p, comps in _run(protocol, psi)]
-    return sorted(out, key=lambda br: br[0].key())
+    """_run's branches on psi as (announcement, probability, output), in draw order."""
+    return [(Announcement(bits["a"], bits.get("b")), p, _output(comps))
+            for bits, p, comps in _run(protocol, psi)]
 
 
 def run_exact(protocol: ProtocolId, params: ProtocolParams) -> list[Branch]:
@@ -343,7 +326,9 @@ def run_exact(protocol: ProtocolId, params: ProtocolParams) -> list[Branch]:
 
     Random-bit announcements contribute branch coordinates with probability
     1/2 each, so P0, PA1, PA2 and PB have four branches and PAB has two.
-    Branches are sorted by announcement bits; probabilities sum to one.
+    Branches come in the interpreter's draw order: branch i announces the
+    bits of i, first announced bit highest, the order _bit_thresholds and
+    _sample_branch_indices index by. Probabilities sum to one.
     """
     return [Branch(ann, p, out, params.m)
             for ann, p, out in _branches(protocol, build_target(params).logical)]

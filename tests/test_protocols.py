@@ -6,7 +6,9 @@ import pytest
 from telecert import fidelity, gates, protocols
 from telecert.channels import RngStream, measure_branches, trash
 from telecert.protocols import (
+    ANNOUNCING,
     DRAW_KINDS,
+    PROTOCOL_OPS,
     Announcement,
     InputFamily,
     ProtocolId,
@@ -18,7 +20,7 @@ from telecert.protocols import (
     run_exact,
     run_sampled,
 )
-from telecert.statevec import CapacityError, partial_trace, to_density
+from telecert.statevec import partial_trace, to_density
 
 import oracle
 
@@ -137,8 +139,8 @@ def test_branch_probabilities_sum_to_one(protocol, params):
     branches = run_exact(protocol, params)
     assert math.fsum(br.probability for br in branches) == pytest.approx(1.0, abs=1e-12)
     for br in branches:
-        if br.output is not None:
-            assert br.output.trace == pytest.approx(1.0, abs=1e-12)
+        if br.logical is not None:
+            assert br.logical.trace == pytest.approx(1.0, abs=1e-12)
 
 
 def test_branch_counts_and_announcement_shapes():
@@ -153,7 +155,8 @@ def test_branch_counts_and_announcement_shapes():
 def test_pa2_delivers_maximally_mixed_qubit():
     for params in (bloch(1.2, 0.3), ghz(2, 0.8), ghz(3, 2.5)):
         for br in run_exact(ProtocolId.PA2, params):
-            delivered = partial_trace(br.output, set(range(params.m - 1)))
+            # trace out the k - 1 logical ancillas
+            delivered = partial_trace(br.logical, set(range(br.logical.num_qubits - 1)))
             np.testing.assert_allclose(delivered.matrix, np.eye(2) / 2, atol=1e-12)
 
 
@@ -163,7 +166,7 @@ def test_pa1_m1_branch_data():
     p = {0: np.cos(theta / 2) ** 2, 1: np.sin(theta / 2) ** 2}
     for br in branches:
         assert br.probability == pytest.approx(p[br.announcement.a] / 2, abs=1e-12)
-        np.testing.assert_allclose(br.output.matrix, np.eye(2) / 2, atol=1e-12)
+        np.testing.assert_allclose(br.logical.matrix, np.eye(2) / 2, atol=1e-12)
 
 
 def test_pab_m1_branch_data():
@@ -173,7 +176,7 @@ def test_pab_m1_branch_data():
         assert br.probability == pytest.approx(0.5, abs=1e-12)
         want = np.zeros((2, 2))
         want[br.announcement.a, br.announcement.a] = 1.0
-        np.testing.assert_allclose(br.output.matrix, want, atol=1e-12)
+        np.testing.assert_allclose(br.logical.matrix, want, atol=1e-12)
         assert br.sub_normalized().trace == pytest.approx(0.5, abs=1e-12)
 
 
@@ -182,7 +185,7 @@ def test_pa1_zero_probability_branch_flagged():
     dead = [br for br in branches if br.announcement.a == 1]
     assert len(dead) == 2
     for br in dead:
-        assert br.probability == 0.0 and br.output is None
+        assert br.probability == 0.0 and br.logical is None
 
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
@@ -209,10 +212,23 @@ def test_exact_run_matches_brute_force_oracle(protocol, m, family, theta, phi):
         key = (br.announcement.a, br.announcement.b)
         ref = want[key]
         assert br.probability == pytest.approx(np.trace(ref).real, abs=1e-12)
-        if br.output is None:
+        if br.logical is None:
             np.testing.assert_allclose(ref, 0, atol=1e-12)
         else:
-            np.testing.assert_allclose(br.probability * br.output.matrix, ref, atol=1e-12)
+            dense = _zero_padded(br.probability * br.logical.matrix, m)
+            np.testing.assert_allclose(dense, ref, atol=1e-12)
+
+
+def _zero_padded(block, m):
+    """A logical operator on min(m, 2) qubits as the m-qubit one it stands for.
+
+    Its entries land on the support |0..0 x> and |1..1 x>, indices
+    {0, 1, 2^m - 2, 2^m - 1}.
+    """
+    idx = sorted({0, 1, 2**m - 2, 2**m - 1})
+    full = np.zeros((2**m, 2**m), dtype=complex)
+    full[np.ix_(idx, idx)] = block
+    return full
 
 
 def _pauli_conjugate(rho, z_pow, x_pow):
@@ -241,9 +257,9 @@ def test_pa1_trash_equals_measure_and_discard():
         for b in (0, 1):
             rho = _pauli_conjugate(trash(oa.post_state, m - 1).matrix, oa.bit, b)
             br = expected[(oa.bit, b)]
-            np.testing.assert_allclose(rho, br.output.matrix, atol=1e-12)
+            np.testing.assert_allclose(rho, br.logical.matrix, atol=1e-12)
             corrected_discard = _pauli_conjugate(discarded, oa.bit, b)
-            np.testing.assert_allclose(corrected_discard, br.output.matrix, atol=1e-12)
+            np.testing.assert_allclose(corrected_discard, br.logical.matrix, atol=1e-12)
 
 
 def test_run_sampled_p0_and_pa2_outputs():
@@ -277,14 +293,34 @@ def test_run_sampled_p0_and_pa2_outputs():
         np.testing.assert_allclose(rho.matrix, exact[ann].logical.matrix, atol=1e-12)
 
 
-def test_dense_output_past_the_cap_raises_capacity_error():
-    # 4^13 entries exceed the 2^24 one array may hold; the logical output stays
-    for br in run_exact(ProtocolId.P0, ghz(13, 0.8)):
-        assert br.logical.num_qubits == 2
-        with pytest.raises(CapacityError, match="^a dense 13-qubit output has 4\\^13 entries"):
-            br.output
-        with pytest.raises(CapacityError):
-            br.sub_normalized()
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+@pytest.mark.parametrize("m", [13, 10**6])
+def test_sub_normalized_stays_logical_at_any_m(protocol, m):
+    # past m = 12 a dense m-qubit output would not fit one array; the
+    # sub-normalized operator stays on the two logical qubits
+    for br in run_exact(protocol, ghz(m, 0.8)):
+        sub = br.sub_normalized()
+        assert sub.num_qubits == 2
+        np.testing.assert_allclose(sub.matrix, br.probability * br.logical.matrix,
+                                   rtol=0, atol=1e-15)
+        assert sub.trace == pytest.approx(br.probability, abs=1e-15)
+
+
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_branches_come_in_draw_order(protocol, m):
+    # branch i announces the bits of i, first announced bit highest: the
+    # order _bit_thresholds and _sample_branch_indices index by
+    params = bloch(0.9, 0.4) if m == 1 else ghz(m, 0.9)
+    names = [args[0] for op, *args in PROTOCOL_OPS[protocol] if op in ANNOUNCING]
+    n = len(DRAW_KINDS[protocol])
+    assert len(names) == n
+    branches = run_exact(protocol, params)
+    assert len(branches) == 2**n
+    for i, br in enumerate(branches):
+        for j, name in enumerate(names):
+            assert getattr(br.announcement, name) == (i >> (n - 1 - j)) & 1
+        assert (br.announcement.b is None) == ("b" not in names)
 
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
