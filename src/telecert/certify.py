@@ -2,9 +2,10 @@
 
 A certificate is issued only when observed > threshold + ATOL_CONSTRUCT
 (1e-12), for either source: under "meets the bar" a perfect classical cheater
-would be certified, so the boundary goes to the adversary, and the margin
-keeps a computed threshold that rounding puts an ulp below a cheat's exact
-optimum (0.4999999999999999 for pb's 1/2) from certifying that optimum.
+would be certified, so the boundary goes to the adversary. The margin keeps
+rounding from certifying a cheat's own optimum: the computed (2, ghz) bars
+are exact, but a pointwise bar read off cos(theta/2) at grid nodes may sit
+an ulp off its closed form.
 Consequently the honest certificate (Certificate 1, fidelity threshold
 exactly 1) can never be issued; it is kept for completeness.
 

@@ -8,8 +8,9 @@ i.e. the plain sum of target overlaps with the sub-normalized branch
 operators. Every grid of exact values (theta_sweep and theta_curve, the curve
 behind computed thresholds; theta_average's explicit rules, bloch_average)
 is one contraction of the per-announcement linear maps E_b that
-protocols._branch_maps compiles from four interpreter runs per (protocol,
-k = min(m, 2)), through protocols._compiled_branches. exact_report
+protocols._branch_maps compiles, exactly, from one interpreter run on a
+Choi state per (protocol, k = min(m, 2)), through
+protocols._compiled_branches. exact_report
 enumerates the branches at one point with the interpreter (run_exact); it
 is the reference the maps are tested against.
 
@@ -27,8 +28,8 @@ explicit gauss:<n> averages are computed once per resolution per process, on
 first use, and shared as read-only arrays.
 Monte Carlo estimates read the target's entry of
 protocols._trajectory_table, the table run_sampled reads, for the
-announcements and the sampler's thresholds, and the branch fidelities off the
-same maps; they are reduced through outcome tallies, so results are
+announcements, the sampler's thresholds and the branch fidelities; they are
+reduced through outcome tallies, so results are
 deterministic for a fixed seed regardless of thread count.
 """
 from __future__ import annotations
@@ -305,8 +306,8 @@ def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: i
     Shots sample the exact trajectory distribution: announcement bits are
     drawn in order from per-shot uniforms through the sampler thresholds of
     the target's trajectory table (the one run_sampled reads), and each shot
-    contributes the branch fidelity of its announcement, p_b * f_b / p_b off
-    the compiled maps at the table's amplitudes (0.0 where p_b = 0, as in
+    contributes the branch fidelity of its announcement, the table's
+    p_b * f_b / p_b off the compiled maps (0.0 where p_b = 0, as in
     exact_report). Shot i reads row i of the counter-based Philox stream of
     `seed`, so the draws are a function of (seed, shot index) only. Each
     worker draws, samples and tallies its own chunks of CHUNK_SHOTS shots,
@@ -325,8 +326,7 @@ def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: i
     from concurrent.futures import ThreadPoolExecutor  # on use: no other command needs it
 
     table = _trajectory_table(protocol, params)
-    _, p, pf = _compiled_branches(protocol, params.m, table.amps[None])
-    fids = np.divide(pf[0], p[0], out=np.zeros_like(pf[0]), where=p[0] > 0)
+    fids = table.fidelities
     bits = len(table.thresholds)
 
     def tally_chunk(start):  # no np.bincount: it would copy idx to 8-byte integers

@@ -38,26 +38,26 @@ outcomes of every measure and coin, so its branches come out in draw order;
 _branches labels them for run_exact (one point, the reference) and
 _branch_maps.
 Branch outputs are linear in the input (Nielsen & Chuang, section 8.2), so
-_branch_maps caches each protocol's per-announcement maps E_b from four runs.
-_compiled_branches (grids) and run_sampled (one trajectory) evaluate them at
-target_amplitudes, the one writer of a target's two logical amplitudes;
-_averaged_branches contracts them with a target distribution's moments
-instead. All three read p_b through _checked_probabilities, the one
-probability-sum check.
+_branch_maps caches each protocol's per-announcement maps E_b, exact, from
+one run on a Choi state. _compiled_branches (grids, the trajectory table)
+evaluates them at target_amplitudes, the one writer of a target's two
+logical amplitudes; _averaged_branches contracts them with a target
+distribution's moments instead. Both read p_b through
+_checked_probabilities, the one probability-sum check.
 
 run_sampled reads a per-target trajectory table, _trajectory_table, an LRU
 cache of at most 256 (protocol, params) entries beside _branch_maps. An entry
-holds the target's amplitudes, p_b and the sampler's per-bit thresholds
-(_bit_thresholds), each computed and checked once, and each branch's
-validated logical output, built on the first call that draws that branch and
-never before: a branch that is never drawn may have p_b = 0 and no output.
+holds the target's amplitudes, p_b, f_b and the sampler's per-bit thresholds
+(_bit_thresholds), from one checked _compiled_branches call, and each
+branch's validated logical output, built on the first call that draws that
+branch and never before: a branch never drawn may have p_b = 0 and no output.
 A call then draws one RngStream row, one draw per announced bit, through
 _sample_branch_indices, the one sampler, and returns the drawn branch's
 logical output. The sampler costs one gather per bit (each row's threshold,
 picked by its earlier bits), for one row or a Monte Carlo chunk alike.
-Monte Carlo reads the same entry for its announcements and thresholds, so
-only this module turns a target into sampler inputs, and repeated estimates
-at one target share the entry.
+Monte Carlo reads the same entry for its announcements, thresholds and
+branch fidelities, so only this module turns a target into sampler inputs,
+and repeated estimates at one target share the entry.
 """
 from __future__ import annotations
 
@@ -339,49 +339,45 @@ def _branch_maps(protocol: ProtocolId, k: int) -> tuple[tuple[Announcement, ...]
                                                         np.ndarray, np.ndarray]:
     """The per-announcement linear maps E_b of a protocol on k logical qubits.
 
-    Four interpreter runs, on |0_L>, |1_L>, |+_L> and |+i_L>, fix each map;
-    the off-diagonal image is polarized, E_b(|0_L><1_L|) = (P + iQ)/2 with
-    P = 2 E_b(|+><+|) - E_b(|0><0|) - E_b(|1><1|) and Q the same from |+i>.
+    One interpreter run fixes every map: its input is the Choi state
+    (|0>_R|0_L> + |1>_R|1_L>)/sqrt(2) on k + 1 qubits, a reference qubit R in
+    front of C's ancillas, which the interpreter treats as one more ancilla.
+    Branch b's sub-normalized output is then J_b = (1/2) sum_ij |i><j|_R x
+    E_b(|i_L><j_L|) (Choi, Linear Algebra Appl. 10, 285 (1975)), so
+    E[b, i, j] = 2 J_b[i, :, j, :]. Every gate is H, CNOT, X or Z, so each
+    entry is rounded onto the Gaussian-dyadic grid (Z + iZ) / 256; one more
+    than 1e-12 off it raises ValueError.
     Returns the announcements in run_exact's order, E[b, i, j] =
     E_b(|i_L><j_L|) over the k output qubits, its logical block R[b, i, j, r, c]
     = <s_r| E[b, i, j] |s_c> and T[b, i, j] = tr E[b, i, j]. The arrays are
     read-only: the cache hands the same ones to every caller.
     """
     ends = [0, 2**k - 1]  # |0_L> = |0..0>, |1_L> = |1..1>
-
-    def images(a0: complex, a1: complex) -> tuple[list[Announcement], np.ndarray]:
-        branches = _branches(protocol, _logical_state(k, (a0, a1)))
-        subs = [np.zeros((2**k, 2**k)) if out is None else p * out.matrix
-                for _, p, out in branches]  # a zero-probability branch maps to zero
-        return [ann for ann, _, _ in branches], np.array(subs)
-
     s = 1 / math.sqrt(2)
-    (announcements, e00), (_, e11), (_, epp), (_, epi) = (
-        images(a0, a1) for a0, a1 in ((1, 0), (0, 1), (s, s), (s, 1j * s)))
-    p, q = 2 * epp - e00 - e11, 2 * epi - e00 - e11
-    e = np.stack([np.stack([e00, (p + 1j * q) / 2], axis=1),
-                  np.stack([(p - 1j * q) / 2, e11], axis=1)], axis=1)
+    branches = _branches(protocol, _logical_state(k + 1, (s, s)))
+    choi = np.array([np.zeros((2**(k + 1),) * 2) if out is None else p * out.matrix
+                     for _, p, out in branches])  # a zero-probability branch maps to zero
+    raw = 2 * choi.reshape(-1, 2, 2**k, 2, 2**k).transpose(0, 1, 3, 2, 4)
+    e = np.round(256 * raw) / 256  # real and imaginary parts alike
+    off = np.abs(raw - e).max()
+    if off > 1e-12:
+        raise ValueError(f"{protocol.value} branch maps lie {off:.3g} off the 1/256 grid")
     r = np.ascontiguousarray(e[..., ends, :][..., ends])
     t = np.trace(e, axis1=3, axis2=4)
     e.flags.writeable = r.flags.writeable = t.flags.writeable = False
-    return tuple(announcements), e, r, t
+    return tuple(ann for ann, _, _ in branches), e, r, t
 
 
 def _checked_probabilities(p: np.ndarray) -> np.ndarray:
     """p[n, b] after the check sum_b p = 1; the one probability-sum check.
 
-    Rounding-level negatives (-6.6e-33 on pa1's a = 0 branches at theta = pi)
-    are clipped to 0, so no negative probability or sampler threshold leaves.
+    Rounding-level negatives are clipped to 0, so no negative probability or
+    sampler threshold leaves.
     """
     error = np.abs(p.sum(axis=1) - 1.0)
     if error.max(initial=0.0) > 1e-9:
         raise ValueError(f"branch probabilities sum to {p.sum(axis=1)[error.argmax()]}")
     return np.maximum(p, 0.0)
-
-
-def _branch_probabilities(t: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """p[n, b] = T_b at amplitude pairs amps[n], T from _branch_maps, checked."""
-    return _checked_probabilities(np.einsum("ni,nj,bij->nb", amps, amps.conj(), t).real)
 
 
 def _checked_overlaps(pf: np.ndarray) -> np.ndarray:
@@ -407,8 +403,8 @@ def _compiled_branches(protocol: ProtocolId, m: int, amps: np.ndarray
     """
     ProtocolParams(m=m, family=InputFamily.GHZ)  # raises for an m no run accepts
     announcements, _, r, t = _branch_maps(protocol, min(m, 2))
-    p = _branch_probabilities(t, amps)
     conj = amps.conj()
+    p = _checked_probabilities(np.einsum("ni,nj,bij->nb", amps, conj, t).real)
     pf = np.einsum("nr,ni,nj,nc,bijrc->nb", conj, amps, conj, amps, r)
     return announcements, p, _checked_overlaps(pf)
 
@@ -474,13 +470,14 @@ def _sample_branch_indices(thresholds: tuple[np.ndarray | None, ...],
 
 @dataclass(eq=False, slots=True)
 class _Trajectories:
-    """What run_sampled reads at one target, checked once; outputs fill in as branches are drawn."""
+    """What run_sampled and Monte Carlo read at one target; outputs fill in as branches are drawn."""
 
     k: int
     announcements: tuple[Announcement, ...]
     maps: np.ndarray                           # E of _branch_maps
     amps: np.ndarray                           # the target's logical amplitudes
     probs: np.ndarray                          # p_b
+    fidelities: np.ndarray                     # f_b = p_b * f_b / p_b, 0.0 where p_b = 0
     thresholds: tuple[np.ndarray | None, ...]  # _bit_thresholds at probs
     outputs: list[DensityOperator | None]      # E_b(|t><t|) / p_b, None until b is drawn
 
@@ -495,18 +492,18 @@ class _Trajectories:
 
 @lru_cache(maxsize=256)
 def _trajectory_table(protocol: ProtocolId, params: ProtocolParams) -> _Trajectories:
-    """run_sampled's per-target table: the maps at the target, with its checks run once.
+    """The per-target table of run_sampled and Monte Carlo, checked once.
 
-    Equal params share an entry (theta = -0.0 is theta = 0.0). The arrays are
-    read-only, as _branch_maps' are; only the output list fills in.
+    p_b and p_b * f_b come from one _compiled_branches call, which runs every
+    check. Equal params share an entry (theta = -0.0 is theta = 0.0). The
+    arrays are read-only, as _branch_maps' are; only the output list fills in.
     """
     k = min(params.m, 2)
-    announcements, e, _, t = _branch_maps(protocol, k)
     amps = target_amplitudes(params.family, params.theta, params.phi)
-    [probs] = _branch_probabilities(t, amps[None])  # params checked m on construction
-    amps.setflags(write=False)
-    probs.setflags(write=False)
-    return _Trajectories(k, announcements, e, amps, probs,
+    announcements, [probs], [pf] = _compiled_branches(protocol, params.m, amps[None])
+    fids = np.divide(pf, probs, out=np.zeros_like(pf), where=probs > 0)
+    amps.flags.writeable = probs.flags.writeable = fids.flags.writeable = False
+    return _Trajectories(k, announcements, _branch_maps(protocol, k)[1], amps, probs, fids,
                          _bit_thresholds(DRAW_KINDS[protocol], probs), [None] * len(announcements))
 
 

@@ -86,10 +86,10 @@ CHEAT_OPTIMA = [
 @pytest.mark.parametrize("adversary, criterion, family, m, optimum", CHEAT_OPTIMA)
 def test_cheat_optimum_is_denied_and_beaten_by_1e9_issued(adversary, criterion, family, m,
                                                           optimum, source):
-    # a computed threshold may sit an ulp below the optimum (0.4999999999999999
-    # for pb); the boundary still goes to the adversary. The tabulated B-cheat
-    # average is 3/16, half the optimum (see the strict xfails), so its
-    # boundary is 3/16.
+    # the boundary goes to the adversary: the optimum itself is denied. The
+    # computed (2, ghz) thresholds are the optima exactly. The tabulated
+    # B-cheat average is 3/16, half the optimum (see the strict xfails), so
+    # its boundary is 3/16.
     if source is ThresholdSource.TABULATED:
         optimum = certify._TABULATED[(adversary, criterion)][0]
     model = AdversaryModel(adversary, source)

@@ -98,8 +98,8 @@ def test_certify_observed(capsys):
 
 
 def test_certify_reports_its_issue_rule(capsys):
-    # issued only above threshold + 1e-12: pb's computed threshold rounds an
-    # ulp below 1/2, and the observation 1/2 is denied
+    # issued only above threshold + 1e-12: pb's computed threshold is 1/2,
+    # and the observation 1/2 is denied
     for observed, verdict in (("0.5", "deny"), ("0.500000001", "issue")):
         code, out, _ = run_cli(capsys, "certify", "--model", "cheating_b", "--m", "2",
                                "--family", "ghz", "--threshold-source", "computed",
@@ -107,7 +107,7 @@ def test_certify_reports_its_issue_rule(capsys):
         payload = json.loads(out)
         assert code == 0 and payload["verdict"] == verdict
         assert payload["comparison"] == "greater-than-threshold-plus-1e-12"
-        assert payload["threshold"] < 0.5
+        assert payload["threshold"] == 0.5
 
 
 @pytest.mark.parametrize("model,criterion,family,m", [
@@ -204,7 +204,7 @@ def test_byte_identical_output_and_json_roundtrip(capsys):
 # f_th built from them, are read off the compiled branch maps.
 PINNED_MONTE_CARLO_STDOUT = """\
 {
-  "f_th": 0.34809160208721374,
+  "f_th": 0.3480916020872137,
   "f_th_definition": "sum over announcements of probability-weighted target overlap",
   "family": "ghz",
   "m": 2,
@@ -213,25 +213,25 @@ PINNED_MONTE_CARLO_STDOUT = """\
     {
       "a": 0,
       "b": 0,
-      "fidelity": 0.6574047222986964,
+      "fidelity": 0.6574047222986963,
       "probability": 0.24755
     },
     {
       "a": 0,
       "b": 1,
-      "fidelity": 0.6574047222986964,
+      "fidelity": 0.6574047222986963,
       "probability": 0.25485
     },
     {
       "a": 1,
       "b": 0,
-      "fidelity": 0.035794754028031874,
+      "fidelity": 0.035794754028031894,
       "probability": 0.2502
     },
     {
       "a": 1,
       "b": 1,
-      "fidelity": 0.035794754028031874,
+      "fidelity": 0.035794754028031894,
       "probability": 0.2474
     }
   ],
@@ -600,7 +600,7 @@ thresholds:
     certificate = 4
     criterion = 'pointwise'
     source = 'computed'
-    threshold = 0.49999999999999994
+    threshold = 0.5000000000000001
     provenance = 'computed: max over theta of enumerated f_th(pb), m=1'
   --
     model = 'cheating_b'
@@ -628,7 +628,7 @@ thresholds:
     certificate = 5
     criterion = 'pointwise'
     source = 'computed'
-    threshold = 0.5
+    threshold = 0.5000000000000001
     provenance = 'computed: max over theta of enumerated f_th(pab), m=1'
   --
     model = 'cheating_ab'
@@ -642,7 +642,7 @@ thresholds:
     certificate = 5
     criterion = 'bloch_postselected'
     source = 'computed'
-    threshold = 0.6666666666666667
+    threshold = 0.6666666666666666
     provenance = 'computed: postselected Bloch-sphere average of pab (m=1)'
   --
 """

@@ -269,18 +269,20 @@ def test_exact_theta_average_matches_gauss(protocol):
 
 
 def test_exact_averages_reproduce_closed_forms():
-    assert abs(theta_average(ProtocolId.P0, 2) - 1) <= 1e-15
+    # the maps are exact, so the averages land on the closed forms, not an ulp off
+    for m in (1, 2, 3):
+        assert theta_average(ProtocolId.P0, m) == 1.0
     for protocol in (ProtocolId.PA1, ProtocolId.PA2, ProtocolId.PB, ProtocolId.PAB):
-        assert abs(theta_average(protocol, 1) - 1 / 2) <= 1e-15
+        assert theta_average(protocol, 1) == 0.5
         for m in (2, 3):
-            assert abs(theta_average(protocol, m) - 3 / 8) <= 1e-15
+            assert theta_average(protocol, m) == 0.375
     for protocol, p_branch in ((ProtocolId.PB, 1 / 4), (ProtocolId.PAB, 1 / 2)):
         report = bloch_average(protocol, postselect=1)
         for ann in report.per_announcement:
             for got, want in ((ann.branch_probability, p_branch), (ann.plain_average, 1 / 2),
                               (ann.squared_average, 1 / 3), (ann.postselected_average, 2 / 3)):
-                assert abs(got - want) <= 1e-15
-        assert abs(report.postselected - 2 / 3) <= 1e-15
+                assert got == want
+        assert report.postselected == 2 / 3
 
 
 def test_exact_theta_average_errors():
@@ -454,7 +456,7 @@ PINNED_EXACT = {
 }
 # theta_sweep reads the compiled maps; these are its values since it moved there.
 PINNED_SWEEP_PA1 = ["0x1.0000000000000p-1", "0x1.c000000000001p-2", "0x1.4000000000001p-2",
-                    "0x1.ffffffffffffdp-3", "0x1.3fffffffffffep-2", "0x1.bfffffffffffep-2",
+                    "0x1.fffffffffffffp-3", "0x1.4000000000000p-2", "0x1.bfffffffffffep-2",
                     "0x1.0000000000000p-1"]
 
 
@@ -523,7 +525,7 @@ def test_monte_carlo_chunks_equal_monolithic_block(protocol, shots):
 # Captured from an earlier build that held one Philox block for all shots;
 # 200 003 shots span four chunks. The counts date from that build; f_th and its
 # stderr are re-read with the branch fidelities off the compiled maps.
-PINNED_MULTI_CHUNK = ("0x1.62d301bdbc964p-2", "0x1.6c5e4f6108386p-11",
+PINNED_MULTI_CHUNK = ("0x1.62d301bdbc963p-2", "0x1.6c5e4f6108385p-11",
                       [49905, 50067, 50085, 49946])
 
 
@@ -623,6 +625,20 @@ def test_monte_carlo_branch_fidelities_match_exact_report():
                     assert got.fidelity == 0.0 and got.probability == 0.0
                 assert abs(got.fidelity - want.fidelity) <= 1e-12
     assert zero_branches  # pa1 at theta = 0 and pi
+
+
+def test_monte_carlo_and_exact_agree_on_a_rounding_level_branch():
+    # pa1's a = 0 branches at bloch theta = pi have p_b = 1.9e-33: the table
+    # reads the interpreter's probability there, not a clipped negative, and
+    # both modes fidelity 1/2
+    params = bloch(np.pi, 0.3)
+    exact = exact_report(ProtocolId.PA1, params).per_branch
+    assert 0 < exact[0].probability < 1e-32
+    assert _trajectory_table(ProtocolId.PA1, params).probs[0] == pytest.approx(exact[0].probability,
+                                                                             rel=1e-15)
+    rep = monte_carlo_threshold(ProtocolId.PA1, params, shots=1000, seed=1)
+    for got, want in zip(rep.per_branch, exact):
+        assert abs(got.fidelity - want.fidelity) <= 1e-15
 
 
 def test_monte_carlo_frequencies_match_run_sampled():

@@ -323,6 +323,59 @@ def test_branches_come_in_draw_order(protocol, m):
         assert (br.announcement.b is None) == ("b" not in names)
 
 
+def test_branch_maps_run_the_interpreter_once_per_map(monkeypatch):
+    runs = []
+    run = protocols._run
+
+    def counting(protocol, psi):
+        runs.append((protocol, psi.num_qubits))
+        return run(protocol, psi)
+
+    monkeypatch.setattr(protocols, "_run", counting)
+    protocols._branch_maps.cache_clear()
+    for protocol in ALL_PROTOCOLS:
+        for k in (1, 2):
+            protocols._branch_maps(protocol, k)
+    # one run per (protocol, k), on the k + 1 qubits of the Choi state
+    assert runs == [(protocol, k + 1) for protocol in ALL_PROTOCOLS for k in (1, 2)]
+
+
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+@pytest.mark.parametrize("k", [1, 2])
+def test_branch_maps_match_the_interpreter_and_lie_on_the_grid(protocol, k):
+    # E_b(|psi><psi|) is the interpreter's p * out at psi, branch by branch,
+    # at random complex logical states
+    _, e, _, _ = protocols._branch_maps(protocol, k)
+    rng = np.random.default_rng(17 + k)
+    for _ in range(20):
+        pair = rng.normal(size=2) + 1j * rng.normal(size=2)
+        pair /= np.linalg.norm(pair)
+        got = np.einsum("i,j,bijrc->brc", pair, pair.conj(), e)
+        branches = protocols._branches(protocol, protocols._logical_state(k, pair))
+        want = [np.zeros((2**k, 2**k)) if out is None else p * out.matrix
+                for _, p, out in branches]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    # every entry of 256 E is a Gaussian integer, exactly
+    grid = 256 * e
+    assert np.array_equal(grid.real, np.round(grid.real))
+    assert np.array_equal(grid.imag, np.round(grid.imag))
+
+
+def test_branch_maps_off_the_grid_raise(monkeypatch):
+    branches = protocols._branches
+
+    def perturbed(protocol, psi):
+        return [(ann, p + 1e-9, out) for ann, p, out in branches(protocol, psi)]
+
+    monkeypatch.setattr(protocols, "_branches", perturbed)
+    protocols._branch_maps.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=r"^pa1 branch maps lie 1e-09 off the 1/256 grid$"):
+            protocols._branch_maps(ProtocolId.PA1, 2)
+    finally:  # no perturbed map stays cached
+        protocols._branch_maps.cache_clear()
+
+
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
 @pytest.mark.parametrize("params", [ghz(1, 0.9), ghz(2, 1.3), ghz(3, 2.2), bloch(1.1, 0.4)],
                          ids=["ghz1", "ghz2", "ghz3", "bloch"])
@@ -396,8 +449,8 @@ def test_sampler_edges_by_hand():
 @pytest.mark.parametrize("theta", [0.0, np.pi])
 @pytest.mark.parametrize("family", [InputFamily.GHZ, InputFamily.BLOCH])
 def test_trajectory_table_probabilities_are_non_negative(protocol, theta, family):
-    # off the maps, pa1's a = 0 branches at bloch theta = pi read -6.6e-33
-    # before clipping, and P(a = 0) read -1.3e-32
+    # pa1's a = 0 branches at bloch theta = pi have p_b = 1.9e-33; negatives
+    # at that level are clipped, so no probability or threshold leaves [0, 1]
     params = ghz(2, theta) if family is InputFamily.GHZ else bloch(theta, 0.3)
     table = _trajectory_table(protocol, params)
     assert np.all(table.probs >= 0.0)
