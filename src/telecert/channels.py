@@ -29,6 +29,7 @@ from .statevec import (
 )
 
 _PROB_ATOL = 1e-9  # degenerate-probability guard for corrupted states
+_MANTISSA_SHIFT = np.uint64(11)  # word >> 11 keeps the 53 bits a double holds
 
 
 class RngStream:
@@ -41,6 +42,11 @@ class RngStream:
     Monte Carlo estimation reads its rows in chunks that start on a counter
     step, so chunk rows equal the rows of one uniform_block over all shots,
     and its results are a function of (seed, shot index) only.
+
+    A draw is one raw 64-bit Philox word; uniform_block returns its top 53
+    bits k = word >> 11, the numerator of u = k * 2^-53, which is exactly the
+    float that Generator.random makes of the same word. The sampler compares
+    numerators with integer thresholds and makes no float.
     """
 
     algorithm = "philox"
@@ -48,6 +54,7 @@ class RngStream:
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(self.seed)))
+        self._words = self._gen.bit_generator.random_raw
         self.draws = 0
 
     def skip(self, draws: int) -> None:
@@ -64,8 +71,9 @@ class RngStream:
         return float(self._gen.random())
 
     def uniform_block(self, shape: tuple[int, ...]) -> np.ndarray:
-        """Bulk uniforms on [0, 1); row i is the draw block of shot index i."""
-        block = self._gen.random(shape)
+        """Bulk uniform numerators k, uint64, of u = k * 2^-53 on [0, 1); row i is shot i's block."""
+        block = self._words(shape)
+        block >>= _MANTISSA_SHIFT
         self.draws += block.size
         return block
 

@@ -304,10 +304,10 @@ def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: i
     """Shot-based estimate of f_th with its standard error.
 
     Shots sample the exact trajectory distribution: announcement bits are
-    drawn in order from per-shot uniforms through the sampler thresholds of
-    the target's trajectory table (the one run_sampled reads), and each shot
-    contributes the branch fidelity of its announcement, the table's
-    p_b * f_b / p_b off the compiled maps (0.0 where p_b = 0, as in
+    drawn in order from per-shot uniform numerators through the sampler
+    thresholds of the target's trajectory table (the one run_sampled reads),
+    and each shot contributes the branch fidelity of its announcement, the
+    table's p_b * f_b / p_b off the compiled maps (0.0 where p_b = 0, as in
     exact_report). Shot i reads row i of the counter-based Philox stream of
     `seed`, so the draws are a function of (seed, shot index) only. Each
     worker draws, samples and tallies its own chunks of CHUNK_SHOTS shots,

@@ -53,8 +53,12 @@ branch's validated logical output, built on the first call that draws that
 branch and never before: a branch never drawn may have p_b = 0 and no output.
 A call then draws one RngStream row, one draw per announced bit, through
 _sample_branch_indices, the one sampler, and returns the drawn branch's
-logical output. The sampler costs one gather per bit (each row's threshold,
-picked by its earlier bits), for one row or a Monte Carlo chunk alike.
+logical output. A draw is a numerator k, u = k * 2^-53 the uniform it
+stands for, and the sampler compares integers: a measured bit is 1 when
+k >= K = ceil(P(0 | earlier bits) * 2^53), exactly when u >= P(0 | earlier
+bits), and a coin is 1 when k < 2^52. The first bit reads its one threshold
+and each later bit gathers each row's threshold at its prefix, for one row
+or a Monte Carlo chunk alike; no per-shot float is made.
 Monte Carlo reads the same entry for its announcements, thresholds and
 branch fidelities, so only this module turns a target into sampler inputs,
 and repeated estimates at one target share the entry.
@@ -371,11 +375,11 @@ def _branch_maps(protocol: ProtocolId, k: int) -> tuple[tuple[Announcement, ...]
 def _checked_probabilities(p: np.ndarray) -> np.ndarray:
     """p[n, b] after the check sum_b p = 1; the one probability-sum check.
 
-    Rounding-level negatives are clipped to 0, so no negative probability or
-    sampler threshold leaves.
+    A NaN sum fails it. Rounding-level negatives are clipped to 0, so no
+    negative probability or sampler threshold leaves.
     """
     error = np.abs(p.sum(axis=1) - 1.0)
-    if error.max(initial=0.0) > 1e-9:
+    if not error.max(initial=0.0) <= 1e-9:
         raise ValueError(f"branch probabilities sum to {p.sum(axis=1)[error.argmax()]}")
     return np.maximum(p, 0.0)
 
@@ -383,15 +387,17 @@ def _checked_probabilities(p: np.ndarray) -> np.ndarray:
 def _checked_overlaps(pf: np.ndarray) -> np.ndarray:
     """The real part of p_b * f_b [n, b] after exact_report's checks.
 
-    Those are an imaginary overlap residue <= ATOL_CONSTRUCT and f_th in [0, 1].
+    Those are an imaginary overlap residue <= ATOL_CONSTRUCT and f_th in [0, 1],
+    each read off the extremes once; a NaN f_th fails the second.
     """
-    residue = np.max(np.abs(pf.imag), initial=0.0)
+    residue = np.abs(pf.imag).max(initial=0.0)
     if residue > ATOL_CONSTRUCT:
         raise ValueError(f"expectation has imaginary residue {residue}")
     pf = pf.real
     f_th = pf.sum(axis=1)
-    if not np.all((-1e-12 <= f_th) & (f_th <= 1 + 1e-12)):
-        raise ValueError(f"threshold fidelity outside [0, 1]: {f_th.min()}, {f_th.max()}")
+    lo, hi = f_th.min(initial=np.inf), f_th.max(initial=-np.inf)
+    if not (-1e-12 <= lo and hi <= 1 + 1e-12):
+        raise ValueError(f"threshold fidelity outside [0, 1]: {lo}, {hi}")
     return pf
 
 
@@ -429,10 +435,13 @@ def _averaged_branches(protocol: ProtocolId, m: int, second: np.ndarray, fourth:
 def _bit_thresholds(kinds: tuple[str, ...], probs: np.ndarray) -> tuple[np.ndarray | None, ...]:
     """The sampler's per-bit thresholds at branch probabilities probs (run_exact's order).
 
-    Entry j is None for a coin, and for a measured bit the read-only array of
-    P(bit j = 0 | earlier bits i) over prefixes i. A prefix of probability
-    zero gets 1/2; the empty prefix has probability 1 by definition, not the
-    float sum.
+    Entry j is None for a coin, and for a measured bit the read-only uint64
+    array of K = ceil(c * 2^53) over prefixes i, where c = P(bit j = 0 |
+    earlier bits i). c * 2^53 is exact, so for a draw u = k * 2^-53 with
+    integer numerator k, u >= c holds exactly when k >= K: c = 1 gives
+    K = 2^53, which no numerator reaches, and c = 0 gives K = 0. A prefix of
+    probability zero has c = 1/2; the empty prefix has probability 1 by
+    definition, not the float sum.
     """
     out = []
     for j, kind in enumerate(kinds):
@@ -445,26 +454,37 @@ def _bit_thresholds(kinds: tuple[str, ...], probs: np.ndarray) -> tuple[np.ndarr
         if j:
             prefix = joint.sum(axis=1)
             cond0 = np.divide(cond0, prefix, out=np.full(2**j, 0.5), where=prefix > 0)
-        cond0.setflags(write=False)
-        out.append(cond0)
+        threshold = np.ceil(cond0 * 2.0**53).astype(np.uint64)
+        threshold.setflags(write=False)
+        out.append(threshold)
     return tuple(out)
+
+
+_HALF = np.uint64(2**52)  # the numerator of u = 1/2
 
 
 def _sample_branch_indices(thresholds: tuple[np.ndarray | None, ...],
                            draws: np.ndarray) -> np.ndarray:
     """Branch indices in run_exact's order, one per row of draws; the one sampler.
 
-    Column j of draws is the draw of bit j, with thresholds[j] from
-    _bit_thresholds. A measured bit is 1 when u >= P(0 | earlier bits), read
-    by one gather of each row's threshold at its prefix, for one row or a
-    Monte Carlo chunk alike; a coin is 1 when u < 1/2. Branch index i has the
-    bits of i, first bit highest, and fits one byte; the gather makes an
-    8-byte float per row.
+    Column j of draws holds the numerators k of bit j's draws u = k * 2^-53
+    (RngStream.uniform_block), with thresholds[j] from _bit_thresholds. A
+    measured bit is 1 when k >= K[prefix], the integer form of u >= P(0 |
+    earlier bits), and a coin is 1 when k < 2^52, u < 1/2; no float is made.
+    The first bit has the empty prefix and its one threshold; a later bit
+    gathers each row's threshold at its prefix, for one row or a Monte Carlo
+    chunk alike. Branch index i has the bits of i, first bit highest, and
+    fits one byte; the gather makes an 8-byte threshold per row.
     """
-    idx = np.zeros(1, dtype=np.uint8)  # the empty prefix, broadcast over shots
-    for j, cond0 in enumerate(thresholds):
-        bit = draws[:, j] < 0.5 if cond0 is None else draws[:, j] >= cond0[idx]
-        idx = idx + idx + bit  # 2 * idx + bit, without a Python-scalar operand
+    idx = None  # the empty prefix
+    for j, threshold in enumerate(thresholds):
+        k = draws[:, j]
+        if threshold is None:
+            bit = k < _HALF
+        else:
+            bit = k >= (threshold[0] if idx is None else threshold[idx])
+        # 2 * idx + bit, without a Python-scalar operand; the first bit is the index
+        idx = bit.view(np.uint8) if idx is None else idx + idx + bit
     return idx
 
 

@@ -34,6 +34,25 @@ def test_rng_skip_matches_block_rows(bits):
         assert rng.draws == rows.size  # skipped draws are not drawn
 
 
+@pytest.mark.parametrize("seed", [0, 77, 2**40 + 3])
+def test_uniform_block_numerators_are_generator_random(seed):
+    # u = k * 2^-53 is bitwise the float Generator.random makes of the same
+    # Philox word, whole or after a skip, and both read the same counter
+    want = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random(161)
+    rng = RngStream(seed)
+    block = rng.uniform_block((40, 4))
+    assert block.dtype == np.uint64
+    assert np.array_equal(block * 2.0**-53, want[:160].reshape(40, 4))
+    assert rng.draws == 160
+    assert rng.uniform() == want[160]
+    for k in (4, 12, 36):
+        rng = RngStream(seed)
+        rng.skip(k)
+        rows = rng.uniform_block((40 - k // 4, 4))
+        assert np.array_equal(rows * 2.0**-53, want[k:160].reshape(-1, 4))
+        assert rng.draws == rows.size
+
+
 def test_rng_skip_validation():
     for k in (1, 2, 3, 6, -4):
         with pytest.raises(ValueError, match="multiple of 4"):

@@ -376,6 +376,37 @@ def test_branch_maps_off_the_grid_raise(monkeypatch):
         protocols._branch_maps.cache_clear()
 
 
+@pytest.mark.parametrize("f_th, ok", [
+    (-1e-12, True), (1 + 1e-12, True), (0.5, True),
+    (np.nextafter(-1e-12, -1.0), False), (np.nextafter(1 + 1e-12, 2.0), False), (np.nan, False),
+])
+def test_checked_overlaps_bounds_f_th_at_its_extremes(f_th, ok):
+    # f_th in [-1e-12, 1 + 1e-12], ends included, checked on the grid's
+    # smallest and largest value; a NaN fails the check
+    pf = np.array([[0.25, 0.25], [f_th, 0.0]], dtype=complex)  # row sums 0.5 and f_th
+    if ok:
+        assert np.array_equal(protocols._checked_overlaps(pf), pf.real)
+        return
+    lo, hi = (np.nan, np.nan) if np.isnan(f_th) else (min(0.5, f_th), max(0.5, f_th))
+    with pytest.raises(ValueError, match=rf"^threshold fidelity outside \[0, 1\]: {lo}, {hi}$"):
+        protocols._checked_overlaps(pf)
+
+
+@pytest.mark.parametrize("total", [1 + 2e-9, 1 - 2e-9, np.nan])
+def test_checked_probabilities_reject_a_bad_or_nan_sum(total):
+    p = np.array([[0.5, 0.5], [total - 0.5, 0.5]])
+    with pytest.raises(ValueError, match=r"^branch probabilities sum to "):
+        protocols._checked_probabilities(p)
+    assert np.array_equal(protocols._checked_probabilities(p[:1]), p[:1])
+
+
+def test_checked_overlaps_accept_an_empty_grid_and_bound_the_residue():
+    assert protocols._checked_overlaps(np.zeros((0, 4), dtype=complex)).shape == (0, 4)
+    pf = np.array([[0.5, 0.5 - 2e-12j]])
+    with pytest.raises(ValueError, match=r"^expectation has imaginary residue 2e-12$"):
+        protocols._checked_overlaps(pf)
+
+
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
 @pytest.mark.parametrize("params", [ghz(1, 0.9), ghz(2, 1.3), ghz(3, 2.2), bloch(1.1, 0.4)],
                          ids=["ghz1", "ghz2", "ghz3", "bloch"])
@@ -406,34 +437,54 @@ def test_run_sampled_deterministic_for_fixed_seed():
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
 @pytest.mark.parametrize("theta", [0.0, 0.9, np.pi / 2, np.pi])
 def test_sampler_matches_per_row_oracle(protocol, theta):
-    # the split sampler, at the thresholds run_sampled reads, against a
-    # plain per-row walk of the bits; theta = 0 and pi have prefixes of
-    # probability zero
+    # the integer sampler, at the thresholds run_sampled reads, against a
+    # plain per-row walk of the bits on the float draws u = k * 2^-53;
+    # theta = 0 and pi have prefixes of probability zero
     table = _trajectory_table(protocol, ghz(2, theta))
     kinds = DRAW_KINDS[protocol]
     draws = RngStream(19).uniform_block((10**4, len(kinds)))
     got = _sample_branch_indices(table.thresholds, draws)
     assert got.tolist() == [oracle.sample_branch(kinds, table.probs, row)
-                            for row in draws.tolist()]
+                            for row in (draws * 2.0**-53).tolist()]
+
+
+TOP = 2**53 - 1  # the largest numerator, u = 1 - 2^-53
+
+
+@pytest.mark.parametrize("c, want", [
+    (0.0, 0), (1.0, 2**53), (5e-324, 1), (2.0**-53, 1),
+    (np.nextafter(2.0**-53, 1.0), 2), (np.nextafter(1.0, 0.0), TOP),
+])
+def test_bit_thresholds_are_exact_ceilings(c, want):
+    # K = ceil(c * 2^53), so a numerator k is at least K exactly when the
+    # float draw k * 2^-53 is at least c; a floor would read 5e-324 and
+    # nextafter(2^-53, 1) one too low
+    [threshold] = _bit_thresholds(("measure",), np.array([c, 1.0 - c]))
+    assert threshold.dtype == np.uint64 and threshold.tolist() == [want]
+    ks = [k for k in (0, want - 1, want, want + 1, TOP) if 0 <= k <= TOP]
+    draws = np.array(ks, dtype=np.uint64)[:, None]
+    assert _sample_branch_indices((threshold,), draws).tolist() == [
+        int(k * 2.0**-53 >= c) for k in ks]
 
 
 def test_sampler_edges_by_hand():
     # bits: measured, coin, measured; the last bit's threshold is read by
-    # its prefix 2 * bit0 + bit1. A measured bit is 1 at u >= threshold, so
-    # a draw equal to its threshold gives 1, threshold 0.0 always gives 1
-    # and 1.0 always 0; a coin is 1 at u < 1/2, so a draw of 0.5 gives 0.
-    below_half = np.nextafter(0.5, 0.0)
-    thresholds = (np.array([0.25]), None, np.array([0.0, 1.0, 0.5, 0.75]))
+    # its prefix 2 * bit0 + bit1. A measured bit is 1 at k >= K, so a draw
+    # equal to its threshold gives 1, K = 0 always gives 1 and K = 2^53
+    # always 0; a coin is 1 at k < 2^52, so a draw of exactly 2^52 gives 0.
+    q, h = 2**51, 2**52  # the numerators of 1/4 and 1/2
+    thresholds = (np.array([q], dtype=np.uint64), None,
+                  np.array([0, 2**53, h, 3 * q], dtype=np.uint64))
     rows = [
-        ([0.25, 0.7, 0.0], 0b100),           # bit0 equal to its threshold; prefix 2: 0.0 < 0.5
-        ([0.2, 0.5, 0.0], 0b001),            # coin at 0.5 gives 0; prefix 0, threshold 0.0
-        ([0.2, 0.1, 0.9999999999999999], 0b010),  # prefix 1, threshold 1.0: the largest draw is 0
-        ([0.9, below_half, 0.75], 0b111),    # coin just below 1/2; prefix 3, draw equals 0.75
-        ([np.nextafter(0.25, 0.0), 0.9, 0.5], 0b001),  # just below 0.25; threshold 0.0
-        ([0.9, 0.9, below_half], 0b100),     # prefix 2, just below its threshold 0.5
-        ([0.9, 0.9, 0.5], 0b101),            # prefix 2, equal to its threshold 0.5
+        ([q, 3 * q, 0], 0b100),        # bit0 equal to its threshold; prefix 2: 0 < 2^52
+        ([1, h, 0], 0b001),            # coin at 2^52 gives 0; prefix 0, threshold 0
+        ([1, 1, TOP], 0b010),          # prefix 1, threshold 2^53: the largest draw is 0
+        ([TOP, h - 1, 3 * q], 0b111),  # coin just below 2^52; prefix 3, draw equals 3 * 2^51
+        ([q - 1, TOP, h], 0b001),      # just below 2^51; threshold 0
+        ([TOP, TOP, h - 1], 0b100),    # prefix 2, just below its threshold 2^52
+        ([TOP, TOP, h], 0b101),        # prefix 2, equal to its threshold 2^52
     ]
-    draws = np.array([row for row, _ in rows])
+    draws = np.array([row for row, _ in rows], dtype=np.uint64)
     block = _sample_branch_indices(thresholds, draws)
     assert block.dtype == np.uint8
     assert block.tolist() == [want for _, want in rows]
@@ -454,8 +505,8 @@ def test_trajectory_table_probabilities_are_non_negative(protocol, theta, family
     params = ghz(2, theta) if family is InputFamily.GHZ else bloch(theta, 0.3)
     table = _trajectory_table(protocol, params)
     assert np.all(table.probs >= 0.0)
-    for cond0 in table.thresholds:
-        assert cond0 is None or np.all((cond0 >= 0.0) & (cond0 <= 1.0))
+    for threshold in table.thresholds:  # P(0 | prefix) in [0, 1], as a numerator
+        assert threshold is None or np.all(threshold <= np.uint64(2**53))
 
 
 def test_trajectory_table_builds_outputs_lazily():
