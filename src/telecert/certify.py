@@ -129,9 +129,13 @@ def _undefined(adversary: Adversary, criterion: Criterion,
     return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _computed_threshold(adversary: Adversary, criterion: Criterion, m: int) -> tuple[float, str]:
-    """The threshold of a defined (model, criterion) pair, from this simulator's own runs."""
+    """The threshold of a defined (model, criterion) pair, from this simulator's own runs.
+
+    An LRU cache of at most 256 (adversary, criterion, m) entries, as the
+    trajectory table is: m is unbounded, and an evicted entry is recomputed.
+    """
     if adversary is Adversary.HONEST:  # pointwise, its one defined criterion
         return 1.0, "computed: honest protocol fidelity (constant 1)"
     protocols = _CHEAT_PROTOCOLS[adversary]

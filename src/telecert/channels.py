@@ -11,7 +11,7 @@ state: the probability-weighted average of the two measurement branches
 equals the partial trace exactly.
 
 Nothing here samples: protocols draws every announcement from RngStream rows
-in one function, _sample_branch_indices.
+in one function, _sample_bits.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from .statevec import (
 )
 
 _PROB_ATOL = 1e-9  # degenerate-probability guard for corrupted states
-_MANTISSA_SHIFT = np.uint64(11)  # word >> 11 keeps the 53 bits a double holds
 
 
 class RngStream:
@@ -43,10 +42,10 @@ class RngStream:
     step, so chunk rows equal the rows of one uniform_block over all shots,
     and its results are a function of (seed, shot index) only.
 
-    A draw is one raw 64-bit Philox word; uniform_block returns its top 53
-    bits k = word >> 11, the numerator of u = k * 2^-53, which is exactly the
-    float that Generator.random makes of the same word. The sampler compares
-    numerators with integer thresholds and makes no float.
+    A draw is one raw 64-bit Philox word w, and uniform_block returns the
+    words as they are: u = (w >> 11) * 2^-53 is exactly the float that
+    Generator.random makes of the same word. The sampler compares words
+    with word thresholds and makes no float and no shift.
     """
 
     algorithm = "philox"
@@ -71,9 +70,8 @@ class RngStream:
         return float(self._gen.random())
 
     def uniform_block(self, shape: tuple[int, ...]) -> np.ndarray:
-        """Bulk uniform numerators k, uint64, of u = k * 2^-53 on [0, 1); row i is shot i's block."""
+        """Bulk raw words w, uint64, of u = (w >> 11) * 2^-53 on [0, 1); row i is shot i's block."""
         block = self._words(shape)
-        block >>= _MANTISSA_SHIFT
         self.draws += block.size
         return block
 

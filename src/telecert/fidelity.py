@@ -28,16 +28,17 @@ explicit gauss:<n> averages are computed once per resolution per process, on
 first use, and shared as read-only arrays.
 Monte Carlo estimates read the target's entry of
 protocols._trajectory_table, the table run_sampled reads, for the
-announcements, the sampler's thresholds and the branch fidelities; they are
-reduced through outcome tallies, so results are
-deterministic for a fixed seed regardless of thread count.
+announcements, the sampler's word thresholds and the branch fidelities. Each
+worker reads one Philox stream over a contiguous range of chunks, and the
+chunks are reduced through outcome tallies counted off the sampled bits, so
+results are deterministic for a fixed seed regardless of thread count.
 """
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from .protocols import (
     TargetState,
     _averaged_branches,
     _compiled_branches,
-    _sample_branch_indices,
+    _sample_bits,
     _trajectory_table,
     build_target,
     run_exact,
@@ -299,22 +300,42 @@ def bloch_average(protocol: ProtocolId, postselect: int | None = None) -> BlochA
 CHUNK_SHOTS = 2**16
 
 
+def _branch_tally(bits: list[np.ndarray]) -> list[int]:
+    """Rows per branch index (the bits of the index, first bit highest), from bit counts alone.
+
+    all_set[s] counts the rows with every bit of the index mask s set, the
+    row count at s = 0; branch i's rows are the inclusion-exclusion sum of
+    (-1)^|s - i| all_set[s] over the masks s that contain i. Two bits cost
+    three counts and one AND, and no per-row index is made.
+    """
+    n = len(bits)
+    masks = range(2**n)
+    all_set = [len(bits[0])]
+    for s in masks[1:]:
+        chosen = [bit for j, bit in enumerate(bits) if s >> (n - 1 - j) & 1]
+        all_set.append(np.count_nonzero(reduce(np.logical_and, chosen)))
+    return [sum((-1) ** bin(s ^ i).count("1") * all_set[s] for s in masks if s & i == i)
+            for i in masks]
+
+
 def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: int,
                           seed: int, threads: int = 1) -> FidelityReport:
     """Shot-based estimate of f_th with its standard error.
 
     Shots sample the exact trajectory distribution: announcement bits are
-    drawn in order from per-shot uniform numerators through the sampler
+    drawn in order from per-shot raw Philox words through the sampler
     thresholds of the target's trajectory table (the one run_sampled reads),
     and each shot contributes the branch fidelity of its announcement, the
     table's p_b * f_b / p_b off the compiled maps (0.0 where p_b = 0, as in
     exact_report). Shot i reads row i of the counter-based Philox stream of
     `seed`, so the draws are a function of (seed, shot index) only. Each
-    worker draws, samples and tallies its own chunks of CHUNK_SHOTS shots,
-    started at their row with RngStream.skip, so memory is bounded by the
-    chunk, not the shot count. There is at most one worker per chunk and per
-    CPU the process may run on (its affinity mask). The reduction goes
-    through integer outcome tallies, which makes the estimate independent of
+    worker takes a contiguous range of chunks of CHUNK_SHOTS shots and reads
+    it from one RngStream, skipped once to the range's first row; it draws,
+    samples and tallies chunk by chunk, so memory is bounded by the chunk,
+    not the shot count. There is at most one worker per chunk and per CPU
+    the process may run on (its affinity mask). A chunk is tallied from the
+    counts of its sampled bits (_branch_tally), and the reduction goes
+    through these integer tallies, which makes the estimate independent of
     chunking and thread count.
     """
     if shots < 100:
@@ -328,28 +349,32 @@ def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: i
     table = _trajectory_table(protocol, params)
     fids = table.fidelities
     bits = len(table.thresholds)
-
-    def tally_chunk(start):  # no np.bincount: it would copy idx to 8-byte integers
-        rng = RngStream(seed)
-        rng.skip(start * bits)
-        draws = rng.uniform_block((min(CHUNK_SHOTS, shots - start), bits))
-        idx = _sample_branch_indices(table.thresholds, draws)
-        return np.array([np.count_nonzero(idx == i) for i in range(len(fids))])
-
-    starts = range(0, shots, CHUNK_SHOTS)
+    chunks = -(-shots // CHUNK_SHOTS)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)  # the CPUs this process may run on
-    workers = min(threads, len(starts), cpus)
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        parts = list(ex.map(lambda w: sum(map(tally_chunk, starts[w::workers])),
-                            range(workers)))
-    tally = np.sum(parts, axis=0)
+    workers = min(threads, chunks, cpus)
 
-    estimate = math.fsum(int(c) * f for c, f in zip(tally, fids)) / shots
-    var = math.fsum(int(c) * (f - estimate) ** 2 for c, f in zip(tally, fids)) / (shots - 1)
+    def tally_range(w):  # chunks [first, last) from one stream
+        first, last = w * chunks // workers, (w + 1) * chunks // workers
+        rng = RngStream(seed)
+        rng.skip(first * CHUNK_SHOTS * bits)
+        tally = [0] * len(fids)
+        for start in range(first * CHUNK_SHOTS, min(last * CHUNK_SHOTS, shots), CHUNK_SHOTS):
+            # the chunk's words are freed once sampled, before the next chunk is drawn
+            counts = _branch_tally(_sample_bits(
+                table.thresholds, rng.uniform_block((min(CHUNK_SHOTS, shots - start), bits))))
+            tally = [t + c for t, c in zip(tally, counts)]
+        return tally
+
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        parts = list(ex.map(tally_range, range(workers)))
+    tally = [sum(column) for column in zip(*parts)]
+
+    estimate = math.fsum(c * f for c, f in zip(tally, fids)) / shots
+    var = math.fsum(c * (f - estimate) ** 2 for c, f in zip(tally, fids)) / (shots - 1)
     stderr = math.sqrt(var / shots)
 
-    per = tuple(BranchFidelity(ann, int(c) / shots, f)
+    per = tuple(BranchFidelity(ann, c / shots, f)
                 for ann, c, f in zip(table.announcements, tally, fids))
     return FidelityReport(protocol, params, estimate, per, mode="monte_carlo",
                           shots=shots, stderr=stderr, seed=seed)

@@ -51,14 +51,15 @@ holds the target's amplitudes, p_b, f_b and the sampler's per-bit thresholds
 (_bit_thresholds), from one checked _compiled_branches call, and each
 branch's validated logical output, built on the first call that draws that
 branch and never before: a branch never drawn may have p_b = 0 and no output.
-A call then draws one RngStream row, one draw per announced bit, through
-_sample_branch_indices, the one sampler, and returns the drawn branch's
-logical output. A draw is a numerator k, u = k * 2^-53 the uniform it
-stands for, and the sampler compares integers: a measured bit is 1 when
-k >= K = ceil(P(0 | earlier bits) * 2^53), exactly when u >= P(0 | earlier
-bits), and a coin is 1 when k < 2^52. The first bit reads its one threshold
-and each later bit gathers each row's threshold at its prefix, for one row
-or a Monte Carlo chunk alike; no per-shot float is made.
+A call then draws one RngStream row, one raw Philox word per announced bit,
+through _sample_bits, the one sampler, and returns the drawn branch's
+logical output. A word w stands for u = (w >> 11) * 2^-53, and the sampler
+compares words only: a measured bit is 1 when w >= W = ceil(P(0 | earlier
+bits) * 2^53) * 2^11, exactly when u >= P(0 | earlier bits), and a coin is 1
+when w < 2^63. A later bit whose W differs between prefixes compares each
+row with every prefix's W and mixes the results with boolean ops on the
+earlier bits, for one row or a Monte Carlo chunk alike; no per-shot float,
+shift or gather is made.
 Monte Carlo reads the same entry for its announcements, thresholds and
 branch fidelities, so only this module turns a target into sampler inputs,
 and repeated estimates at one target share the entry.
@@ -332,7 +333,7 @@ def run_exact(protocol: ProtocolId, params: ProtocolParams) -> list[Branch]:
     1/2 each, so P0, PA1, PA2 and PB have four branches and PAB has two.
     Branches come in the interpreter's draw order: branch i announces the
     bits of i, first announced bit highest, the order _bit_thresholds and
-    _sample_branch_indices index by. Probabilities sum to one.
+    _sample_bits index by. Probabilities sum to one.
     """
     return [Branch(ann, p, out, params.m)
             for ann, p, out in _branches(protocol, build_target(params).logical)]
@@ -432,16 +433,19 @@ def _averaged_branches(protocol: ProtocolId, m: int, second: np.ndarray, fourth:
     return announcements, p, pf
 
 
-def _bit_thresholds(kinds: tuple[str, ...], probs: np.ndarray) -> tuple[np.ndarray | None, ...]:
-    """The sampler's per-bit thresholds at branch probabilities probs (run_exact's order).
+def _bit_thresholds(kinds: tuple[str, ...], probs: np.ndarray) -> tuple[tuple | None, ...]:
+    """The sampler's per-bit word thresholds at branch probabilities probs (run_exact's order).
 
-    Entry j is None for a coin, and for a measured bit the read-only uint64
-    array of K = ceil(c * 2^53) over prefixes i, where c = P(bit j = 0 |
-    earlier bits i). c * 2^53 is exact, so for a draw u = k * 2^-53 with
-    integer numerator k, u >= c holds exactly when k >= K: c = 1 gives
-    K = 2^53, which no numerator reaches, and c = 0 gives K = 0. A prefix of
-    probability zero has c = 1/2; the empty prefix has probability 1 by
-    definition, not the float sum.
+    Entry j is None for a coin. For a measured bit it is a tuple over the
+    prefixes i of earlier bits (first bit highest) of W = K * 2^11, a
+    np.uint64, with K = ceil(c * 2^53) and c = P(bit j = 0 | i). c * 2^53
+    is exact, so for a word w, whose uniform is u = (w >> 11) * 2^-53,
+    u >= c holds exactly when w >= W: c = 0 gives W = 0. c = 1 gives
+    K = 2^53 and W = 2^64, which no uint64 holds and no word reaches; that
+    prefix's entry is None, "never 1". A bit whose W is the same at every
+    prefix does not depend on the earlier bits and has the one entry. A
+    prefix of probability zero has c = 1/2; the empty prefix has probability
+    1 by definition, not the float sum.
     """
     out = []
     for j, kind in enumerate(kinds):
@@ -454,38 +458,44 @@ def _bit_thresholds(kinds: tuple[str, ...], probs: np.ndarray) -> tuple[np.ndarr
         if j:
             prefix = joint.sum(axis=1)
             cond0 = np.divide(cond0, prefix, out=np.full(2**j, 0.5), where=prefix > 0)
-        threshold = np.ceil(cond0 * 2.0**53).astype(np.uint64)
-        threshold.setflags(write=False)
-        out.append(threshold)
+        cuts = [None if k == 2**53 else np.uint64(k << 11)
+                for k in np.ceil(cond0 * 2.0**53).astype(np.uint64).tolist()]
+        out.append(tuple(cuts[:1] if len(set(cuts)) == 1 else cuts))
     return tuple(out)
 
 
-_HALF = np.uint64(2**52)  # the numerator of u = 1/2
+_HALF = np.uint64(2**63)  # the word at which u = 1/2 starts
 
 
-def _sample_branch_indices(thresholds: tuple[np.ndarray | None, ...],
-                           draws: np.ndarray) -> np.ndarray:
-    """Branch indices in run_exact's order, one per row of draws; the one sampler.
+def _sample_bits(thresholds: tuple[tuple | None, ...], words: np.ndarray) -> list[np.ndarray]:
+    """Each row's announced bits, one bool array per bit in draw order; the one sampler.
 
-    Column j of draws holds the numerators k of bit j's draws u = k * 2^-53
-    (RngStream.uniform_block), with thresholds[j] from _bit_thresholds. A
-    measured bit is 1 when k >= K[prefix], the integer form of u >= P(0 |
-    earlier bits), and a coin is 1 when k < 2^52, u < 1/2; no float is made.
-    The first bit has the empty prefix and its one threshold; a later bit
-    gathers each row's threshold at its prefix, for one row or a Monte Carlo
-    chunk alike. Branch index i has the bits of i, first bit highest, and
-    fits one byte; the gather makes an 8-byte threshold per row.
+    Column j of words holds bit j's raw Philox words w (RngStream.uniform_block),
+    with thresholds[j] from _bit_thresholds; u = (w >> 11) * 2^-53 is the
+    uniform a word stands for. A measured bit is 1 when w >= W[prefix], the
+    word form of u >= P(0 | earlier bits), and a coin is 1 when w < 2^63,
+    u < 1/2; only uint64 words are compared, and no float or shift is made.
+    A later bit with one W per prefix compares every row with each, then
+    mixes the results by the earlier bits, last bit first, as
+    v0 ^ ((v0 ^ v1) & bit): no gather and no per-row threshold. The same
+    code reads one run_sampled row and a Monte Carlo chunk.
     """
-    idx = None  # the empty prefix
+    bits = []
     for j, threshold in enumerate(thresholds):
-        k = draws[:, j]
+        w = words[:, j]
         if threshold is None:
-            bit = k < _HALF
-        else:
-            bit = k >= (threshold[0] if idx is None else threshold[idx])
-        # 2 * idx + bit, without a Python-scalar operand; the first bit is the index
-        idx = bit.view(np.uint8) if idx is None else idx + idx + bit
-    return idx
+            bits.append(w < _HALF)
+            continue
+        ones = [np.zeros(w.shape, dtype=bool) if t is None else w >= t for t in threshold]
+        if len(ones) > 1:  # one W per prefix: pick by the earlier bits, last first
+            for earlier in reversed(bits):
+                for v0, v1 in zip(ones[::2], ones[1::2]):
+                    v1 ^= v0
+                    v1 &= earlier
+                    v0 ^= v1
+                ones = ones[::2]
+        bits.append(ones[0])
+    return bits
 
 
 @dataclass(eq=False, slots=True)
@@ -498,7 +508,7 @@ class _Trajectories:
     amps: np.ndarray                           # the target's logical amplitudes
     probs: np.ndarray                          # p_b
     fidelities: np.ndarray                     # f_b = p_b * f_b / p_b, 0.0 where p_b = 0
-    thresholds: tuple[np.ndarray | None, ...]  # _bit_thresholds at probs
+    thresholds: tuple[tuple | None, ...]       # _bit_thresholds at probs
     outputs: list[DensityOperator | None]      # E_b(|t><t|) / p_b, None until b is drawn
 
     def output(self, b: int) -> DensityOperator:
@@ -538,6 +548,7 @@ def run_sampled(protocol: ProtocolId, params: ProtocolParams,
     at a target or branch.
     """
     table = _trajectory_table(protocol, params)
-    [b] = _sample_branch_indices(table.thresholds,
-                                 rng.uniform_block((1, len(table.thresholds)))).tolist()
+    b = 0
+    for bit in _sample_bits(table.thresholds, rng.uniform_block((1, len(table.thresholds)))):
+        b = 2 * b + int(bit[0])
     return table.announcements[b], table.output(b)

@@ -156,3 +156,20 @@ def test_computed_pointwise_threshold_matches_theta_sweep(adversary, protocols):
         want = max(exact_threshold(p, ProtocolParams(m=m, family=InputFamily.GHZ, theta=t))
                    for p in protocols for t in grid)
         assert abs(self_threshold(adversary, Criterion.POINTWISE, m) - want) <= 1e-12
+
+
+def test_computed_threshold_cache_is_bounded():
+    # m is unbounded, so thresholds at many share sizes evict the oldest
+    # entries instead of growing the cache; an evicted entry is recomputed
+    cached = certify._computed_threshold
+    cached.cache_clear()
+    first = self_threshold(Adversary.CHEATING_A, Criterion.THETA_AVERAGE, 1)
+    limit = cached.cache_info().maxsize
+    assert limit is not None
+    for m in range(2, limit + 50):
+        self_threshold(Adversary.CHEATING_A, Criterion.THETA_AVERAGE, m)
+    assert cached.cache_info().currsize == limit
+    misses = cached.cache_info().misses
+    assert self_threshold(Adversary.CHEATING_A, Criterion.THETA_AVERAGE, 1) == first
+    assert cached.cache_info().misses == misses + 1
+    cached.cache_clear()

@@ -35,21 +35,23 @@ def test_rng_skip_matches_block_rows(bits):
 
 
 @pytest.mark.parametrize("seed", [0, 77, 2**40 + 3])
-def test_uniform_block_numerators_are_generator_random(seed):
-    # u = k * 2^-53 is bitwise the float Generator.random makes of the same
-    # Philox word, whole or after a skip, and both read the same counter
+def test_uniform_block_words_are_generator_random(seed):
+    # the block holds Philox's raw words w, and u = (w >> 11) * 2^-53 is
+    # bitwise the float Generator.random makes of the same word, whole or
+    # after a skip; both read the same counter
     want = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random(161)
+    raw = np.random.Philox(np.random.SeedSequence(seed)).random_raw(160).reshape(40, 4)
     rng = RngStream(seed)
     block = rng.uniform_block((40, 4))
-    assert block.dtype == np.uint64
-    assert np.array_equal(block * 2.0**-53, want[:160].reshape(40, 4))
+    assert block.dtype == np.uint64 and np.array_equal(block, raw)
+    assert np.array_equal((block >> np.uint64(11)) * 2.0**-53, want[:160].reshape(40, 4))
     assert rng.draws == 160
     assert rng.uniform() == want[160]
     for k in (4, 12, 36):
         rng = RngStream(seed)
         rng.skip(k)
         rows = rng.uniform_block((40 - k // 4, 4))
-        assert np.array_equal(rows * 2.0**-53, want[k:160].reshape(-1, 4))
+        assert np.array_equal((rows >> np.uint64(11)) * 2.0**-53, want[k:160].reshape(-1, 4))
         assert rng.draws == rows.size
 
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import itertools
 import math
 
@@ -19,15 +20,12 @@ from telecert.fidelity import (
     threshold_fidelity,
 )
 from telecert.protocols import (
-    ANNOUNCING,
-    PROTOCOL_OPS,
+    DRAW_KINDS,
     InputFamily,
     ProtocolId,
     ProtocolParams,
     _averaged_branches,
-    _bit_thresholds,
     _branch_maps,
-    _sample_branch_indices,
     _trajectory_table,
     build_target,
     run_exact,
@@ -501,13 +499,30 @@ def test_monte_carlo_deterministic_across_threads_and_runs():
                [bf.probability for bf in ref.per_branch]
 
 
+@functools.lru_cache(maxsize=None)
+def _oracle_branches(protocol, params, shots, seed):
+    """Branch index of each shot, walked by the oracle over Generator.random's floats."""
+    kinds = DRAW_KINDS[protocol]
+    probs = [bf.probability for bf in exact_report(protocol, params).per_branch]
+    rows = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random(
+        (shots, len(kinds)))
+    return np.array([oracle.sample_branch(kinds, probs, row) for row in rows.tolist()])
+
+
 def _monolithic_counts(protocol, params, shots, seed):
-    """The tally of one Philox block holding every shot's draws."""
-    kinds = [op for op, *_ in PROTOCOL_OPS[protocol] if op in ANNOUNCING]
-    probs = np.array([bf.probability for bf in exact_report(protocol, params).per_branch])
-    draws = RngStream(seed).uniform_block((shots, len(kinds)))
-    idx = _sample_branch_indices(_bit_thresholds(kinds, probs), draws)
-    return [np.count_nonzero(idx == i) for i in range(len(probs))]
+    """The tally of one Philox block holding every shot's draws, off the library's sampler."""
+    idx = _oracle_branches(protocol, params, 3 * CHUNK_SHOTS + 5, seed)[:shots]
+    return np.bincount(idx, minlength=2 ** len(DRAW_KINDS[protocol])).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_branch_tally_counts_each_index(n):
+    # counts of the bits and their ANDs give each index's rows, as a
+    # per-row index would, including indices no row has
+    rng = np.random.default_rng(n)
+    bits = [rng.random(1000) < q for q in (0.3, 0.9, 0.02)[:n]]
+    idx = sum(bit.astype(int) << (n - 1 - j) for j, bit in enumerate(bits))
+    assert fidelity._branch_tally(bits) == np.bincount(idx, minlength=2**n).tolist()
 
 
 @pytest.mark.parametrize("protocol", [ProtocolId.PAB, ProtocolId.PB])  # 1 and 2 bits per shot
@@ -580,6 +595,39 @@ def test_monte_carlo_pool_is_capped_at_the_cpus_it_may_run_on(monkeypatch):
     assert monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=shots, seed=5,
                                  threads=3) == rep
     assert asked == [1, 2]
+
+
+def test_monte_carlo_reads_one_stream_per_worker(monkeypatch):
+    # each of 3 workers reads a contiguous range of the 4 chunks from one
+    # stream, skipped once to its first row; together they draw every row once
+    streams = []
+
+    class Counted(RngStream):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.skipped, self.rows = None, []
+            streams.append(self)
+
+        def skip(self, draws):
+            assert self.skipped is None
+            self.skipped = draws
+            super().skip(draws)
+
+        def uniform_block(self, shape):
+            self.rows.append(shape[0])
+            return super().uniform_block(shape)
+
+    shots = 3 * CHUNK_SHOTS + 5  # four chunks
+    ref = monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=shots, seed=5)
+    monkeypatch.setattr(fidelity, "RngStream", Counted)
+    monkeypatch.setattr(fidelity.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    rep = monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=shots, seed=5, threads=3)
+    assert rep == ref
+    assert len(streams) == 3
+    by_first = sorted(streams, key=lambda rng: rng.skipped)
+    assert [rng.skipped for rng in by_first] == [0, 2 * CHUNK_SHOTS, 4 * CHUNK_SHOTS]  # pb: 2 bits
+    assert [rng.rows for rng in by_first] == [[CHUNK_SHOTS], [CHUNK_SHOTS], [CHUNK_SHOTS, 5]]
 
 
 def test_monte_carlo_reads_only_the_compiled_maps(monkeypatch):

@@ -14,7 +14,7 @@ from telecert.protocols import (
     ProtocolId,
     ProtocolParams,
     _bit_thresholds,
-    _sample_branch_indices,
+    _sample_bits,
     _trajectory_table,
     build_target,
     run_exact,
@@ -26,6 +26,12 @@ import oracle
 
 SQ2 = np.sqrt(2)
 ALL_PROTOCOLS = list(ProtocolId)
+
+
+def branch_indices(bits):
+    """Each row's branch index from the sampler's bits, first bit highest."""
+    n = len(bits)
+    return sum(bit.astype(np.int64) << (n - 1 - j) for j, bit in enumerate(bits))
 
 
 def ghz(m, theta):
@@ -310,7 +316,7 @@ def test_sub_normalized_stays_logical_at_any_m(protocol, m):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_branches_come_in_draw_order(protocol, m):
     # branch i announces the bits of i, first announced bit highest: the
-    # order _bit_thresholds and _sample_branch_indices index by
+    # order _bit_thresholds and _sample_bits index by
     params = bloch(0.9, 0.4) if m == 1 else ghz(m, 0.9)
     names = [args[0] for op, *args in PROTOCOL_OPS[protocol] if op in ANNOUNCING]
     n = len(DRAW_KINDS[protocol])
@@ -418,8 +424,8 @@ def test_run_sampled_reads_one_row_per_trajectory(protocol, params):
     kinds = DRAW_KINDS[protocol]
     assert 2 ** len(kinds) == len(branches)  # one draw per announced bit
     probs = np.array([br.probability for br in branches])
-    want = _sample_branch_indices(_bit_thresholds(kinds, probs),
-                                  RngStream(seed).uniform_block((n, len(kinds))))
+    want = branch_indices(_sample_bits(_bit_thresholds(kinds, probs),
+                                       RngStream(seed).uniform_block((n, len(kinds)))))
     rng = RngStream(seed)
     got = [run_sampled(protocol, params, rng)[0] for _ in range(n)]
     assert got == [branches[i].announcement for i in want]
@@ -437,63 +443,105 @@ def test_run_sampled_deterministic_for_fixed_seed():
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
 @pytest.mark.parametrize("theta", [0.0, 0.9, np.pi / 2, np.pi])
 def test_sampler_matches_per_row_oracle(protocol, theta):
-    # the integer sampler, at the thresholds run_sampled reads, against a
-    # plain per-row walk of the bits on the float draws u = k * 2^-53;
+    # the word sampler, at the thresholds run_sampled reads, against a plain
+    # per-row walk of the bits on the float draws u = (w >> 11) * 2^-53;
     # theta = 0 and pi have prefixes of probability zero
     table = _trajectory_table(protocol, ghz(2, theta))
     kinds = DRAW_KINDS[protocol]
-    draws = RngStream(19).uniform_block((10**4, len(kinds)))
-    got = _sample_branch_indices(table.thresholds, draws)
+    words = RngStream(19).uniform_block((10**4, len(kinds)))
+    got = branch_indices(_sample_bits(table.thresholds, words))
     assert got.tolist() == [oracle.sample_branch(kinds, table.probs, row)
-                            for row in (draws * 2.0**-53).tolist()]
+                            for row in ((words >> np.uint64(11)) * 2.0**-53).tolist()]
 
 
-TOP = 2**53 - 1  # the largest numerator, u = 1 - 2^-53
+TOP = 2**64 - 1  # the largest word, u = 1 - 2^-53
+HIGH = range(2**64 - 2**12, 2**64)  # float64 spacing is 2^11 here: a float compare flips
 
 
-@pytest.mark.parametrize("c, want", [
+def uniform(w):
+    """The float Generator.random makes of the word w."""
+    return (w >> 11) * 2.0**-53
+
+
+@pytest.mark.parametrize("c, k", [
     (0.0, 0), (1.0, 2**53), (5e-324, 1), (2.0**-53, 1),
-    (np.nextafter(2.0**-53, 1.0), 2), (np.nextafter(1.0, 0.0), TOP),
+    (np.nextafter(2.0**-53, 1.0), 2), (np.nextafter(1.0, 0.0), 2**53 - 1),
 ])
-def test_bit_thresholds_are_exact_ceilings(c, want):
-    # K = ceil(c * 2^53), so a numerator k is at least K exactly when the
-    # float draw k * 2^-53 is at least c; a floor would read 5e-324 and
-    # nextafter(2^-53, 1) one too low
+def test_bit_thresholds_are_exact_ceilings(c, k):
+    # W = ceil(c * 2^53) * 2^11, so a word w is at least W exactly when its
+    # float draw is at least c; a floor would read 5e-324 and
+    # nextafter(2^-53, 1) one numerator too low. c = 1 has W = 2^64, no
+    # uint64: its entry is None and reads 0 on every word
     [threshold] = _bit_thresholds(("measure",), np.array([c, 1.0 - c]))
-    assert threshold.dtype == np.uint64 and threshold.tolist() == [want]
-    ks = [k for k in (0, want - 1, want, want + 1, TOP) if 0 <= k <= TOP]
-    draws = np.array(ks, dtype=np.uint64)[:, None]
-    assert _sample_branch_indices((threshold,), draws).tolist() == [
-        int(k * 2.0**-53 >= c) for k in ks]
+    w_c = k << 11
+    if k == 2**53:
+        assert threshold == (None,)
+    else:
+        [t] = threshold
+        assert t.dtype == np.uint64 and int(t) == w_c
+    ws = [w for w in (0, w_c - 1, w_c, w_c + 1, w_c + 2**11, TOP) if 0 <= w <= TOP]
+    [bit] = _sample_bits((threshold,), np.array(ws, dtype=np.uint64)[:, None])
+    assert bit.tolist() == [uniform(w) >= c for w in ws] == [w >= w_c for w in ws]
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0, 2.0**-53, np.nextafter(1.0, 0.0)])
+@pytest.mark.parametrize("at_prefix", [0, 1])
+def test_sampler_word_edges(c, at_prefix):
+    # words at W - 1 and W and the top 2^12 words, where any float64
+    # promotion rounds words onto each other, read u >= c exactly: as a
+    # first bit with its one threshold, and as a second bit whose prefix
+    # at_prefix has P(0) = c and whose other prefix has P(0) = 1/2. A coin
+    # reads w < 2^63 at 2^63 - 1, 2^63 and the top words alike.
+    w_c = math.ceil(c * 2**53) << 11  # c * 2^53 is exact
+    ws = [w for w in (w_c - 1, w_c) if 0 <= w <= TOP] + list(HIGH)
+    col = np.array(ws, dtype=np.uint64)
+    [first] = _bit_thresholds(("measure",), np.array([c, 1.0 - c]))
+    [bit] = _sample_bits((first,), col[:, None])
+    assert bit.tolist() == [w >= w_c for w in ws] == [uniform(w) >= c for w in ws]
+
+    pair = [c / 2, (1.0 - c) / 2, 0.25, 0.25]  # P(second = 0 | first = 0) = c
+    probs = np.array(pair if at_prefix == 0 else pair[2:] + pair[:2])
+    thresholds = _bit_thresholds(("measure", "measure"), probs)
+    assert thresholds[0] == (np.uint64(2**63),) and len(thresholds[1]) == 2
+    for prefix_word in (0, TOP):  # first bit 0, then 1
+        words = np.stack([np.full(len(col), prefix_word, dtype=np.uint64), col], axis=1)
+        first_bits, second = _sample_bits(thresholds, words)
+        assert first_bits.tolist() == [prefix_word == TOP] * len(ws)
+        cut = w_c if int(prefix_word == TOP) == at_prefix else 2**63
+        assert second.tolist() == [w >= cut for w in ws]
+
+    coins = [2**63 - 1, 2**63] + list(HIGH)
+    [coin] = _sample_bits((None,), np.array(coins, dtype=np.uint64)[:, None])
+    assert coin.tolist() == [w < 2**63 for w in coins] == [uniform(w) < 0.5 for w in coins]
 
 
 def test_sampler_edges_by_hand():
-    # bits: measured, coin, measured; the last bit's threshold is read by
-    # its prefix 2 * bit0 + bit1. A measured bit is 1 at k >= K, so a draw
-    # equal to its threshold gives 1, K = 0 always gives 1 and K = 2^53
-    # always 0; a coin is 1 at k < 2^52, so a draw of exactly 2^52 gives 0.
-    q, h = 2**51, 2**52  # the numerators of 1/4 and 1/2
-    thresholds = (np.array([q], dtype=np.uint64), None,
-                  np.array([0, 2**53, h, 3 * q], dtype=np.uint64))
+    # bits: measured, coin, measured; the last bit's thresholds are read by
+    # its prefix 2 * bit0 + bit1. A measured bit is 1 at w >= W, so a word
+    # equal to its threshold gives 1, W = 0 always gives 1 and None (c = 1)
+    # always 0; a coin is 1 at w < 2^63, so a word of exactly 2^63 gives 0.
+    q, h = 2**62, 2**63  # the first words of u = 1/4 and u = 1/2
+    thresholds = ((np.uint64(q),), None,
+                  (np.uint64(0), None, np.uint64(h), np.uint64(3 * q)))
     rows = [
-        ([q, 3 * q, 0], 0b100),        # bit0 equal to its threshold; prefix 2: 0 < 2^52
-        ([1, h, 0], 0b001),            # coin at 2^52 gives 0; prefix 0, threshold 0
-        ([1, 1, TOP], 0b010),          # prefix 1, threshold 2^53: the largest draw is 0
-        ([TOP, h - 1, 3 * q], 0b111),  # coin just below 2^52; prefix 3, draw equals 3 * 2^51
-        ([q - 1, TOP, h], 0b001),      # just below 2^51; threshold 0
-        ([TOP, TOP, h - 1], 0b100),    # prefix 2, just below its threshold 2^52
-        ([TOP, TOP, h], 0b101),        # prefix 2, equal to its threshold 2^52
+        ([q, 3 * q, 0], 0b100),        # bit0 equal to its threshold; prefix 2: 0 < 2^63
+        ([1, h, 0], 0b001),            # coin at 2^63 gives 0; prefix 0, threshold 0
+        ([1, 1, TOP], 0b010),          # prefix 1, never 1: the largest word is 0
+        ([TOP, h - 1, 3 * q], 0b111),  # coin just below 2^63; prefix 3, word equals 3 * 2^62
+        ([q - 1, TOP, h], 0b001),      # just below 2^62; threshold 0
+        ([TOP, TOP, h - 1], 0b100),    # prefix 2, just below its threshold 2^63
+        ([TOP, TOP, h], 0b101),        # prefix 2, equal to its threshold 2^63
     ]
-    draws = np.array([row for row, _ in rows], dtype=np.uint64)
-    block = _sample_branch_indices(thresholds, draws)
-    assert block.dtype == np.uint8
-    assert block.tolist() == [want for _, want in rows]
+    words = np.array([row for row, _ in rows], dtype=np.uint64)
+    bits = _sample_bits(thresholds, words)
+    assert [bit.dtype for bit in bits] == [np.bool_] * 3
+    assert branch_indices(bits).tolist() == [want for _, want in rows]
     # the same rows one at a time, and a random block row by row
-    singles = [_sample_branch_indices(thresholds, row[None]).tolist() for row in draws]
+    singles = [branch_indices(_sample_bits(thresholds, row[None])).tolist() for row in words]
     assert singles == [[want] for _, want in rows]
-    draws = RngStream(23).uniform_block((500, 3))
-    assert _sample_branch_indices(thresholds, draws).tolist() == [
-        int(_sample_branch_indices(thresholds, row[None])[0]) for row in draws]
+    words = RngStream(23).uniform_block((500, 3))
+    assert branch_indices(_sample_bits(thresholds, words)).tolist() == [
+        int(branch_indices(_sample_bits(thresholds, row[None]))[0]) for row in words]
 
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
@@ -505,8 +553,9 @@ def test_trajectory_table_probabilities_are_non_negative(protocol, theta, family
     params = ghz(2, theta) if family is InputFamily.GHZ else bloch(theta, 0.3)
     table = _trajectory_table(protocol, params)
     assert np.all(table.probs >= 0.0)
-    for threshold in table.thresholds:  # P(0 | prefix) in [0, 1], as a numerator
-        assert threshold is None or np.all(threshold <= np.uint64(2**53))
+    for threshold in table.thresholds:  # P(0 | prefix) in [0, 1], as a word W = K * 2^11
+        for t in threshold or ():
+            assert t is None or (t.dtype == np.uint64 and int(t) % 2**11 == 0)
 
 
 def test_trajectory_table_builds_outputs_lazily():
