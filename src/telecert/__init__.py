@@ -26,14 +26,12 @@ from .fidelity import (
 )
 from .gates import (
     UnitaryMatrix,
-    bloch_rotation,
     cnot,
     entanglement_gadget,
     entanglement_gadget_inverse,
     ghz_rotation,
     hadamard,
     pauli_x,
-    pauli_y,
     pauli_z,
 )
 from .protocols import (
@@ -48,7 +46,6 @@ from .protocols import (
     run_sampled,
 )
 from .statevec import (
-    CapacityError,
     DensityOperator,
     PureState,
     apply_unitary,

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import (
-    CapacityError,
-    DensityOperator,
-    PureState,
-    REGISTER_CAP,
-    partial_trace,
-    to_density,
-)
+from .statevec import DensityOperator, PureState, partial_trace, to_density
 
 _PROB_ATOL = 1e-9  # degenerate-probability guard for corrupted states
 
@@ -129,8 +122,6 @@ def regenerate_zero(state: DensityOperator, at: int) -> DensityOperator:
     n = state.num_qubits
     if not 0 <= at <= n:
         raise ValueError(f"insert position {at} out of range for {n} qubits")
-    if n + 1 > REGISTER_CAP:
-        raise CapacityError(f"{n + 1} qubits exceeds register cap {REGISTER_CAP}")
     t = state.matrix.reshape([2] * (2 * n))
     out = np.zeros([2] * (2 * (n + 1)), dtype=complex)
     idx = [slice(None)] * (2 * (n + 1))

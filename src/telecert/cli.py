@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -89,11 +88,9 @@ def _emit(payload: dict, fmt: str) -> None:
         rows = next((v for v in payload.values() if isinstance(v, list)), None)
         if not rows:
             raise ValueError("csv format is not available for this command")
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
 
 
 def _emit_table(payload, indent: str = "") -> None:
@@ -301,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit(args.func(args), args.format)
         return 0
     except MemoryError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
+        print(f"capacity error: {str(exc) or 'memory exhausted'}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -137,6 +138,8 @@ def _parse_quadrature(text: str) -> tuple[str, int]:
                          "expected gauss:<n> or grid:<n>") from None
     if n < 2:
         raise ValueError(f"quadrature resolution {n} < 2")
+    if n > sys.maxsize:
+        raise ValueError(f"quadrature resolution {n} > {sys.maxsize}, the largest array length")
     return kind, n
 
 

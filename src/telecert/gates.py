@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statevec import ATOL_CONSTRUCT, REGISTER_CAP, CapacityError, _frozen
+from .statevec import ATOL_CONSTRUCT, _frozen
 
 
 @dataclass(frozen=True)
@@ -28,18 +28,10 @@ class UnitaryMatrix:
             raise ValueError("matrix is not unitary")
         object.__setattr__(self, "entries", _frozen(mat))
 
-    @property
-    def num_qubits(self) -> int:
-        return self.dim.bit_length() - 1
-
 
 def _u(entries) -> UnitaryMatrix:
     entries = np.asarray(entries, dtype=complex)
     return UnitaryMatrix(entries.shape[0], entries)
-
-
-def identity(num_qubits: int = 1) -> UnitaryMatrix:
-    return _u(np.eye(2**num_qubits))
 
 
 def hadamard() -> UnitaryMatrix:
@@ -49,10 +41,6 @@ def hadamard() -> UnitaryMatrix:
 
 def pauli_x() -> UnitaryMatrix:
     return _u([[0, 1], [1, 0]])
-
-
-def pauli_y() -> UnitaryMatrix:
-    return _u([[0, -1j], [1j, 0]])
 
 
 def pauli_z() -> UnitaryMatrix:
@@ -67,17 +55,6 @@ def cnot() -> UnitaryMatrix:
                [0, 0, 1, 0]])
 
 
-def bloch_rotation(theta: float, phi: float) -> UnitaryMatrix:
-    """Single-qubit rotation with R|0> = cos(t/2)|0> + e^(i phi) sin(t/2)|1>.
-
-    Only the action on |0> is contractual; the second column is the det = 1
-    completion, which acts identically on |0>.
-    """
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    ph = np.exp(1j * phi)
-    return _u([[c, -s / ph], [s * ph, c]])
-
-
 def ghz_rotation(m: int, theta: float) -> UnitaryMatrix:
     """m-qubit rotation with R|0...0> = cos(t/2)|0>^m + sin(t/2)|1>^m.
 
@@ -86,12 +63,10 @@ def ghz_rotation(m: int, theta: float) -> UnitaryMatrix:
     has the same action on |0>^m but is not unitary (its square is
     I + sin(t) X^m), so the plane rotation is the unitary completion; the
     protocols never apply the gate to anything but |0>^m. For m = 1 this is
-    bloch_rotation(theta, 0).
+    the real rotation [[c, -s], [s, c]], c = cos(t/2), s = sin(t/2).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m > REGISTER_CAP:
-        raise CapacityError(f"{m} qubits exceeds register cap {REGISTER_CAP}")
     dim = 2**m
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     mat = np.eye(dim, dtype=complex)

@@ -222,8 +222,8 @@ def _logical_state(k: int, pair) -> PureState:
 def build_target(params: ProtocolParams) -> TargetState:
     """The state C prepares and later compares against, as its logical form at any m.
 
-    That is target_amplitudes on |0..0> and |1..1>, the action of
-    gates.ghz_rotation / gates.bloch_rotation on |0..0>, on min(m, 2) qubits.
+    That is target_amplitudes on |0..0> and |1..1>, on min(m, 2) qubits: for
+    the GHZ family the action of gates.ghz_rotation on |0..0>.
     """
     psi = _logical_state(min(params.m, 2),
                          target_amplitudes(params.family, params.theta, params.phi))

@@ -13,14 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-REGISTER_CAP = 24
-
 ATOL_CONSTRUCT = 1e-12   # construction-time algebraic checks
 ATOL_EIG = 1e-10         # eigenvalue positivity (eigensolvers are looser)
-
-
-class CapacityError(ValueError):
-    """Register would exceed the configured qubit cap."""
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -42,8 +36,6 @@ class PureState:
     def __post_init__(self):
         if self.num_qubits < 0:
             raise ValueError("num_qubits must be >= 0")
-        if self.num_qubits > REGISTER_CAP:
-            raise CapacityError(f"{self.num_qubits} qubits exceeds register cap {REGISTER_CAP}")
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
         if amps.shape != (2**self.num_qubits,):
             raise ValueError(f"expected {2**self.num_qubits} amplitudes, got {amps.shape}")
@@ -104,10 +96,7 @@ def basis_state(num_qubits: int, index: int = 0) -> PureState:
 
 def tensor(a: PureState, b: PureState) -> PureState:
     """Kronecker composition; a's qubits take the high-order positions."""
-    n = a.num_qubits + b.num_qubits
-    if n > REGISTER_CAP:
-        raise CapacityError(f"{n} qubits exceeds register cap {REGISTER_CAP}")
-    return PureState(n, np.kron(a.amplitudes, b.amplitudes))
+    return PureState(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
 
 
 def apply_unitary(state: PureState, u, targets: list[int]) -> PureState:

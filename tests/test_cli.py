@@ -416,13 +416,18 @@ def _run_capped(*argv):
                           env=env, timeout=120)
 
 
-def test_memory_exhaustion_exits_3():
+@pytest.mark.parametrize("argv", [
     # A sweep holds its theta grid: 1e8 points ask np.linspace for 763 MiB,
     # which the 512 MiB address cap refuses with a MemoryError.
-    proc = _run_capped("sweep", "--protocol", "pa1", "--m", "2", "--points", "100000000")
+    ("sweep", "--protocol", "pa1", "--m", "2", "--points", "100000000"),
+    # leggauss's 1e8-node rule raises a MemoryError with no message
+    ("average", "--quadrature", "gauss:100000000"),
+], ids=["sweep", "gauss"])
+def test_memory_exhaustion_exits_3(argv):
+    proc = _run_capped(*argv)
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr.startswith("capacity error: ") and proc.stderr.count("\n") == 1
+    assert re.fullmatch(r"capacity error: \S.*\n", proc.stderr)
 
 
 def test_monte_carlo_shot_count_has_memory_bound():
@@ -679,12 +684,19 @@ def test_table_stdout_pinned(capsys, argv, want):
      "error: unknown quadrature kind 'simpson'; expected exact, gauss:<n> or grid:<n>\n"),
     (("average", "--quadrature", "exact:64"), None, None,
      "error: exact quadrature takes no resolution, got 'exact:64'\n"),
+    (("average", "--quadrature", f"gauss:{sys.maxsize + 1}"), None, None,
+     f"error: quadrature resolution {sys.maxsize + 1} > {sys.maxsize}, "
+     "the largest array length\n"),
+    (("average", "--quadrature", f"grid:{sys.maxsize + 1}"), None, None,
+     f"error: quadrature resolution {sys.maxsize + 1} > {sys.maxsize}, "
+     "the largest array length\n"),
     (("sweep", "--points", "-3"), None, None, "error: points must be >= 1, got -3\n"),
     (("sweep", "--points", "0"), None, None, "error: points must be >= 1, got 0\n"),
     (("sweep", "--points", "0", "--format", "csv"), None, None,
      "error: points must be >= 1, got 0\n"),
 ], ids=["seed-flag", "seed-env", "seed-env-abc", "seed-env-1.5", "seed-config", "gauss-abc",
-        "gauss-1.5", "gauss-empty", "kind-unknown", "exact-resolution", "points-negative",
+        "gauss-1.5", "gauss-empty", "kind-unknown", "exact-resolution", "gauss-huge",
+        "grid-huge", "points-negative",
         "points-zero", "points-zero-csv"])
 def test_bad_values_exit_2_naming_the_input(tmp_path, capsys, monkeypatch, argv, env, config,
                                             want):

@@ -3,15 +3,12 @@ import pytest
 
 from telecert.gates import (
     UnitaryMatrix,
-    bloch_rotation,
     cnot,
     entanglement_gadget,
     entanglement_gadget_inverse,
     ghz_rotation,
     hadamard,
-    identity,
     pauli_x,
-    pauli_y,
     pauli_z,
 )
 
@@ -46,18 +43,6 @@ def test_cnot_matrix_and_action():
     np.testing.assert_allclose(cnot().entries @ [1, 0, 0, 0], [1, 0, 0, 0])  # |00> -> |00>
 
 
-def test_bloch_rotation_examples():
-    np.testing.assert_allclose(bloch_rotation(0.0, 1.3).entries @ [1, 0], [1, 0], atol=1e-15)
-    np.testing.assert_allclose(bloch_rotation(np.pi, 0.0).entries @ [1, 0], [0, 1], atol=1e-15)
-    got = bloch_rotation(np.pi / 2, np.pi / 2).entries @ [1, 0]
-    np.testing.assert_allclose(got, [1 / SQ2, 1j / SQ2], atol=1e-15)
-
-
-def test_bloch_rotation_det_one():
-    for theta, phi in [(0.3, 1.1), (2.0, 4.5), (np.pi, np.pi)]:
-        assert np.linalg.det(bloch_rotation(theta, phi).entries) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_ghz_rotation_examples():
     np.testing.assert_allclose(ghz_rotation(1, 0.0).entries, np.eye(2), atol=1e-15)
     ghz3 = ghz_rotation(3, np.pi / 2).entries @ np.eye(8)[:, 0]
@@ -77,8 +62,8 @@ def test_ghz_rotation_norm_for_random_theta():
 
 def test_ghz_rotation_m1_equals_bloch_phi0():
     for theta in (0.0, 0.7, np.pi / 2, 2.8):
-        np.testing.assert_allclose(ghz_rotation(1, theta).entries,
-                                   bloch_rotation(theta, 0.0).entries, atol=1e-15)
+        c, s = np.cos(theta / 2), np.sin(theta / 2)
+        np.testing.assert_allclose(ghz_rotation(1, theta).entries, [[c, -s], [s, c]], atol=1e-15)
 
 
 def test_gadget_matrix_and_ebits():
@@ -103,9 +88,8 @@ def test_gadget_inverse_property():
 
 
 def test_all_constructors_unitary():
-    gates = [hadamard(), pauli_x(), pauli_y(), pauli_z(), cnot(), identity(2),
-             entanglement_gadget(), entanglement_gadget_inverse(),
-             bloch_rotation(1.1, 2.2), ghz_rotation(3, 0.9)]
+    gates = [hadamard(), pauli_x(), pauli_z(), cnot(),
+             entanglement_gadget(), entanglement_gadget_inverse(), ghz_rotation(3, 0.9)]
     for g in gates:
         np.testing.assert_allclose(g.entries.conj().T @ g.entries, np.eye(g.dim), atol=1e-12)
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from telecert.statevec import (
-    CapacityError,
     DensityOperator,
     PureState,
     apply_unitary,
@@ -14,7 +13,7 @@ from telecert.statevec import (
     tensor,
     to_density,
 )
-from telecert.gates import bloch_rotation, cnot, hadamard, pauli_x
+from telecert.gates import cnot, ghz_rotation, hadamard, pauli_x
 
 from oracle import lift
 
@@ -47,7 +46,7 @@ def test_tensor_one_kron_plus():
 
 def test_tensor_matches_kron_oracle():
     # includes the 3-qubit circuit input: 1-qubit rotation share times the ebit
-    psi = apply_unitary(basis_state(1), bloch_rotation(np.pi / 2, 0.0), [0])
+    psi = apply_unitary(basis_state(1), ghz_rotation(1, np.pi / 2), [0])
     ebit = PureState(2, np.array([1, 0, 0, 1]) / np.sqrt(2))
     np.testing.assert_allclose(tensor(psi, ebit).amplitudes,
                                np.kron(psi.amplitudes, ebit.amplitudes), atol=1e-15)
@@ -63,10 +62,6 @@ def test_tensor_associative():
     right = tensor(a, tensor(b, c))
     np.testing.assert_allclose(left.amplitudes, right.amplitudes, atol=1e-15)
 
-
-def test_tensor_capacity():
-    with pytest.raises(CapacityError):
-        tensor(random_state(13), random_state(13))
 
 
 def test_apply_x_on_qubit0():
@@ -185,5 +180,7 @@ def test_purestate_validation_and_immutability():
        seed=st.integers(0, 2**31))
 def test_unitaries_preserve_norm(theta, phi, seed):
     state = random_state(1, np.random.default_rng(seed))
-    out = apply_unitary(state, bloch_rotation(theta, phi), [0])
+    # a general unitary, up to a phase on |1>: the rotation, then diag(1, e^(i phi))
+    u = np.diag([1, np.exp(1j * phi)]) @ ghz_rotation(1, theta).entries
+    out = apply_unitary(state, u, [0])
     assert abs(out.norm_sq - 1) < 1e-12
