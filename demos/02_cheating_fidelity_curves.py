@@ -44,7 +44,7 @@ with open("cheating_curves.csv", "w", newline="") as fh:
         writer.writerow([repr(float(theta))] + [repr(curves[p][theta]) for p in CHEATS])
 print("\nwrote cheating_curves.csv")
 
-print("\ntheta-averaged threshold fidelities (Gauss-Legendre, 64 nodes):")
+print("\ntheta-averaged threshold fidelities (exact):")
 for p in CHEATS:
     print(f"  {p.value:>4}: {theta_average(p, M):.12f}")
 print("  (the B-cheat average equals the A-cheat 3/8 under exact enumeration;"

@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .certify import (
     Adversary,
     AdversaryModel,
@@ -18,7 +20,6 @@ from .fidelity import (
     FidelityReport,
     bloch_average,
     exact_report,
-    exact_threshold,
     monte_carlo_threshold,
     theta_average,
     theta_sweep,
@@ -56,4 +57,6 @@ from .statevec import (
     to_density,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are bound here by the imports above, but are not star-exported
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

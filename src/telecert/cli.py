@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_avg = subs.add_parser("average", help="theta-averaged f_th (ghz family)")
     _add_common(p_avg, angles=False)
     p_avg.add_argument("--quadrature", default="exact",
-                       help="exact (the default), gauss:<n> or grid:<n>")
+                       help="exact (the default) or gauss:<n>")
     p_avg.set_defaults(func=cmd_average)
 
     p_cert = subs.add_parser("certify", help="issue or deny a certificate")

@@ -6,7 +6,7 @@ The threshold fidelity of a protocol run is the announcement sum
 
 i.e. the plain sum of target overlaps with the sub-normalized branch
 operators. Every grid of exact values (theta_sweep and theta_curve, the curve
-behind computed thresholds; theta_average's explicit rules, bloch_average)
+behind computed thresholds; theta_average's gauss:<n> rule, bloch_average)
 is one contraction of the per-announcement linear maps E_b that
 protocols._branch_maps compiles, exactly, from one interpreter run on a
 Choi state per (protocol, k = min(m, 2)), through
@@ -23,8 +23,8 @@ vertices of the icosahedron, a spherical 5-design (Delsarte, Goethals &
 Seidel, Geom. Dedicata 6, 363 (1977)): it averages every polynomial of
 degree <= 5 in the Bloch vector exactly, and a branch fidelity and its square
 are such polynomials wherever the announcement's probability does not depend
-on the state, which bloch_average checks. The Gauss-Legendre rules of the
-explicit gauss:<n> averages are computed once per resolution per process, on
+on the state, which bloch_average checks. The Gauss-Legendre rule of an
+explicit gauss:<n> average is computed once per resolution per process, on
 first use, and shared as read-only arrays.
 Monte Carlo estimates read the target's entry of
 protocols._trajectory_table, the table run_sampled reads, for the
@@ -102,10 +102,6 @@ def exact_report(protocol: ProtocolId, params: ProtocolParams) -> FidelityReport
     return threshold_fidelity(branches, build_target(params), protocol, params)
 
 
-def exact_threshold(protocol: ProtocolId, params: ProtocolParams) -> float:
-    return exact_report(protocol, params).f_th
-
-
 def _theta_grid(thetas) -> np.ndarray:
     """Angles as a one-dimensional float array; a scalar is a one-point grid."""
     grid = np.asarray(thetas, dtype=float)
@@ -121,21 +117,20 @@ def theta_sweep(protocol: ProtocolId, m: int, grid) -> list[tuple[float, float]]
 
 
 def _parse_quadrature(text: str) -> tuple[str, int]:
-    """(kind, n) of exact, gauss:<n> or grid:<n>; exact has n = 0."""
+    """(kind, n) of exact or gauss:<n>; exact has n = 0."""
     kind, colon, n_s = text.partition(":")
     kind = kind.strip().lower()
     if kind == "exact":
         if colon:
             raise ValueError(f"exact quadrature takes no resolution, got {text!r}")
         return kind, 0
-    if kind not in ("gauss", "grid"):
-        raise ValueError(f"unknown quadrature kind {kind!r}; expected exact, gauss:<n> "
-                         "or grid:<n>")
+    if kind != "gauss":
+        raise ValueError(f"unknown quadrature kind {kind!r}; expected exact or gauss:<n>")
     try:
         n = int(n_s)
     except ValueError:
         raise ValueError(f"quadrature resolution must be an integer, got {text!r}; "
-                         "expected gauss:<n> or grid:<n>") from None
+                         "expected gauss:<n>") from None
     if n < 2:
         raise ValueError(f"quadrature resolution {n} < 2")
     if n > sys.maxsize:
@@ -151,22 +146,10 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def theta_nodes(quadrature: str = "gauss:64") -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of gauss:<n> or grid:<n> for theta uniform on [0, pi)."""
-    kind, n = _parse_quadrature(quadrature)
-    if kind == "exact":
-        raise ValueError("the exact theta average has no nodes")
-    if kind == "gauss":
-        x, w = _gauss_legendre(n)
-        return (x + 1) * (np.pi / 2), w / 2
-    thetas = (np.arange(n) + 0.5) * (np.pi / n)
-    return thetas, np.full(n, 1.0 / n)
-
-
 def theta_curve(protocol: ProtocolId, m: int, thetas) -> np.ndarray:
     """f_th(theta) at each theta of a grid (GHZ family), read off the compiled branch maps.
 
-    A scalar gives a one-point curve. Agrees with exact_threshold, the
+    A scalar gives a one-point curve. Agrees with exact_report's f_th, the
     per-point reference, to rounding (a few ulp).
     """
     amps = target_amplitudes(InputFamily.GHZ, _theta_grid(thetas))
@@ -197,14 +180,15 @@ def theta_average(protocol: ProtocolId, m: int, quadrature: str = "exact") -> fl
     """Average of f_th(theta) for theta uniform on [0, pi), GHZ family.
 
     exact (the default) contracts the branch maps with the half-circle
-    moments (_half_circle_moments), with no nodes; gauss:<n> and grid:<n>
-    sum theta_curve over theta_nodes.
+    moments (_half_circle_moments), with no nodes; gauss:<n> sums
+    theta_curve over the n Gauss-Legendre nodes mapped onto [0, pi).
     """
-    if _parse_quadrature(quadrature)[0] == "exact":
+    kind, n = _parse_quadrature(quadrature)
+    if kind == "exact":
         _, _, pf = _averaged_branches(protocol, m, *_half_circle_moments())
         return math.fsum(pf)
-    thetas, weights = theta_nodes(quadrature)
-    return math.fsum(weights * theta_curve(protocol, m, thetas))
+    x, w = _gauss_legendre(n)
+    return math.fsum(w / 2 * theta_curve(protocol, m, (x + 1) * (np.pi / 2)))
 
 
 @dataclass(frozen=True)

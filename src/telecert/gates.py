@@ -15,44 +15,39 @@ from .statevec import ATOL_CONSTRUCT, _frozen
 
 @dataclass(frozen=True)
 class UnitaryMatrix:
-    dim: int
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         mat = np.ascontiguousarray(self.entries, dtype=complex)
-        if mat.shape != (self.dim, self.dim):
-            raise ValueError(f"expected {self.dim}x{self.dim} matrix, got {mat.shape}")
-        if self.dim & (self.dim - 1):
-            raise ValueError(f"dimension {self.dim} is not a power of two")
-        if np.max(np.abs(mat.conj().T @ mat - np.eye(self.dim))) > ATOL_CONSTRUCT:
+        dim = len(mat)
+        if mat.shape != (dim, dim):
+            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        if dim & (dim - 1):
+            raise ValueError(f"dimension {dim} is not a power of two")
+        if np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) > ATOL_CONSTRUCT:
             raise ValueError("matrix is not unitary")
         object.__setattr__(self, "entries", _frozen(mat))
 
 
-def _u(entries) -> UnitaryMatrix:
-    entries = np.asarray(entries, dtype=complex)
-    return UnitaryMatrix(entries.shape[0], entries)
-
-
 def hadamard() -> UnitaryMatrix:
     """H: |e> -> (|0> + (-1)^e |1>)/sqrt(2)."""
-    return _u(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+    return UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
 
 def pauli_x() -> UnitaryMatrix:
-    return _u([[0, 1], [1, 0]])
+    return UnitaryMatrix([[0, 1], [1, 0]])
 
 
 def pauli_z() -> UnitaryMatrix:
-    return _u([[1, 0], [0, -1]])
+    return UnitaryMatrix([[1, 0], [0, -1]])
 
 
 def cnot() -> UnitaryMatrix:
     """|e0 e1> -> |e0, e1 xor e0>; control is the higher-order qubit."""
-    return _u([[1, 0, 0, 0],
-               [0, 1, 0, 0],
-               [0, 0, 0, 1],
-               [0, 0, 1, 0]])
+    return UnitaryMatrix([[1, 0, 0, 0],
+                          [0, 1, 0, 0],
+                          [0, 0, 0, 1],
+                          [0, 0, 1, 0]])
 
 
 def ghz_rotation(m: int, theta: float) -> UnitaryMatrix:
@@ -74,16 +69,16 @@ def ghz_rotation(m: int, theta: float) -> UnitaryMatrix:
     mat[0, dim - 1] = -s
     mat[dim - 1, 0] = s
     mat[dim - 1, dim - 1] = c
-    return UnitaryMatrix(dim, mat)
+    return UnitaryMatrix(mat)
 
 
 def entanglement_gadget() -> UnitaryMatrix:
     """CNOT . (H x I): maps the computational basis to the four ebits."""
     h1 = np.kron(hadamard().entries, np.eye(2))
-    return _u(cnot().entries @ h1)
+    return UnitaryMatrix(cnot().entries @ h1)
 
 
 def entanglement_gadget_inverse() -> UnitaryMatrix:
     """(H x I) . CNOT, the Bell-measurement rotation."""
     h1 = np.kron(hadamard().entries, np.eye(2))
-    return _u(h1 @ cnot().entries)
+    return UnitaryMatrix(h1 @ cnot().entries)

@@ -160,9 +160,6 @@ class Announcement:
     a: int
     b: int | None = None
 
-    def key(self) -> tuple[int, int]:
-        return (self.a, -1 if self.b is None else self.b)
-
 
 @dataclass(frozen=True)
 class Branch:
@@ -177,12 +174,6 @@ class Branch:
     probability: float
     logical: DensityOperator | None
     m: int
-
-    def sub_normalized(self) -> DensityOperator:
-        """probability * logical, on the same k qubits; its trace is the probability."""
-        if self.logical is None:
-            raise ValueError("zero-probability branch has no output state")
-        return DensityOperator(self.logical.num_qubits, self.probability * self.logical.matrix)
 
 
 @dataclass(frozen=True)

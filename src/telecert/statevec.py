@@ -75,7 +75,7 @@ class DensityOperator:
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
         if np.max(np.abs(mat - mat.conj().T)) > ATOL_CONSTRUCT:
             raise ValueError("matrix is not Hermitian")
-        if dim <= 2**8 and np.min(np.linalg.eigvalsh(mat)) < -ATOL_EIG:
+        if np.min(np.linalg.eigvalsh(mat)) < -ATOL_EIG:
             raise ValueError("matrix is not positive semidefinite")
         tr = np.trace(mat)
         if abs(tr.imag) > ATOL_CONSTRUCT or tr.real < -ATOL_CONSTRUCT or tr.real > 1 + ATOL_CONSTRUCT:

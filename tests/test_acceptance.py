@@ -21,7 +21,7 @@ from telecert.certify import (
     self_threshold,
 )
 from telecert.channels import measure_branches, trash
-from telecert.fidelity import bloch_average, exact_report, exact_threshold, monte_carlo_threshold, theta_average
+from telecert.fidelity import bloch_average, exact_report, monte_carlo_threshold, theta_average
 from telecert.gates import (
     cnot,
     entanglement_gadget,
@@ -54,19 +54,29 @@ def bloch(theta, phi=0.0):
     return ProtocolParams(m=1, family=InputFamily.BLOCH, theta=theta, phi=phi)
 
 
+def exact_f_th(protocol, params):
+    """f_th at one point, from the per-point interpreter."""
+    return exact_report(protocol, params).f_th
+
+
+def branch_trace(br):
+    """The trace of the branch operator probability * logical: the branch probability."""
+    return br.probability * br.logical.trace
+
+
 # -- criterion 1 -------------------------------------------------------------
 
 def test_criterion_1_honest_exactness():
     worst = 0.0
     for m in (1, 2, 3):
-        f = exact_threshold(ProtocolId.P0, ProtocolParams(m=m, family=InputFamily.TRIVIAL))
+        f = exact_f_th(ProtocolId.P0, ProtocolParams(m=m, family=InputFamily.TRIVIAL))
         worst = max(worst, abs(f - 1))
         for theta in np.linspace(0, np.pi, 20):
-            f = exact_threshold(ProtocolId.P0, ghz(m, theta))
+            f = exact_f_th(ProtocolId.P0, ghz(m, theta))
             worst = max(worst, abs(f - 1))
     for theta in np.linspace(0, np.pi, 10):
         for phi in np.linspace(0, 2 * np.pi, 10):
-            f = exact_threshold(ProtocolId.P0, bloch(theta, phi))
+            f = exact_f_th(ProtocolId.P0, bloch(theta, phi))
             worst = max(worst, abs(f - 1))
     assert worst <= 1e-12
     note(1, "PASS", f"honest protocol f_th = 1 on all families; worst |f-1| = {worst:.2e}")
@@ -81,7 +91,7 @@ def test_criterion_2_isolated_qubit_cheat_thresholds():
         theta = float(np.arccos(rng.uniform(-1, 1)))
         phi = float(rng.uniform(0, 2 * np.pi))
         for protocol in (ProtocolId.PA1, ProtocolId.PA2):
-            f = exact_threshold(protocol, bloch(theta, phi))
+            f = exact_f_th(protocol, bloch(theta, phi))
             worst = max(worst, abs(f - 0.5))
     assert worst <= 1e-12
     note(2, "PASS", f"PA1 = PA2 = 1/2 at m=1 over 50 random Bloch targets; worst dev {worst:.2e}")
@@ -94,7 +104,7 @@ def test_criterion_3_entangled_curves_a_family_and_ab():
     for protocol in (ProtocolId.PA1, ProtocolId.PA2, ProtocolId.PAB):
         for m in (2, 3):
             for theta in np.linspace(0, np.pi, 20):
-                f = exact_threshold(protocol, ghz(m, theta))
+                f = exact_f_th(protocol, ghz(m, theta))
                 worst = max(worst, abs(f - A_CURVE(theta)))
     assert worst <= 1e-10
     note(3, "PASS", f"PA1/PA2/PAB match 1/2 - sin^2(theta)/4; worst dev {worst:.2e}")
@@ -109,12 +119,12 @@ def test_criterion_3_pb_resolved_by_enumeration():
     worst_oracle = worst_curve = 0.0
     for m in (2, 3):
         for theta in np.linspace(0, np.pi, 20):
-            f = exact_threshold(ProtocolId.PB, ghz(m, theta))
+            f = exact_f_th(ProtocolId.PB, ghz(m, theta))
             worst_oracle = max(worst_oracle, abs(f - oracle.threshold("pb", m, "ghz", theta)))
             worst_curve = max(worst_curve, abs(f - A_CURVE(theta)))
     assert worst_oracle <= 1e-10
     assert worst_curve <= 1e-10
-    f0 = exact_threshold(ProtocolId.PB, ghz(2, 0.0))
+    f0 = exact_f_th(ProtocolId.PB, ghz(2, 0.0))
     assert abs(f0 - 0.5) <= 1e-12
     note(3, "PASS", "PB adjudicated by brute-force enumeration: curve = 1/2 - sin^2/4, "
                     f"f(0) = {f0:.12f} (trivial case 1/2); oracle dev {worst_oracle:.2e}; "
@@ -130,7 +140,7 @@ def test_criterion_3_pb_tabulated_curve():
     worst = 0.0
     for m in (2, 3):
         for theta in np.linspace(0, np.pi, 20):
-            f = exact_threshold(ProtocolId.PB, ghz(m, theta))
+            f = exact_f_th(ProtocolId.PB, ghz(m, theta))
             worst = max(worst, abs(f - B_CURVE_TABULATED(theta)))
     assert worst <= 1e-10
 
@@ -180,9 +190,9 @@ def test_criterion_6_monte_carlo_consistency():
             mc = monte_carlo_threshold(protocol, params, shots=shots, seed=1234)
             band = 4 * (mc.stderr or 0.0) + 1e-12
             assert abs(mc.f_th - exact.f_th) <= band, (protocol, theta)
-            exact_p = {bf.announcement.key(): bf.probability for bf in exact.per_branch}
+            exact_p = {bf.announcement: bf.probability for bf in exact.per_branch}
             for bf in mc.per_branch:
-                p = exact_p[bf.announcement.key()]
+                p = exact_p[bf.announcement]
                 if 0 < p < 1:
                     fb = 4 * math.sqrt(p * (1 - p) / shots)
                     assert abs(bf.probability - p) <= fb, (protocol, theta, bf)
@@ -199,26 +209,26 @@ def test_criterion_7_trace_bookkeeping_attainable():
     # honest protocol: every branch carries probability (= sub-normalized trace) 1/4
     for params in (bloch(1.1, 0.4), ghz(2, 0.9)):
         for br in run_exact(ProtocolId.P0, params):
-            assert abs(br.sub_normalized().trace - 0.25) <= 1e-12
+            assert abs(branch_trace(br) - 0.25) <= 1e-12
     # B-cheat at m = 1: 1/4 per branch
     for br in run_exact(ProtocolId.PB, bloch(0.7, 1.2)):
-        assert abs(br.sub_normalized().trace - 0.25) <= 1e-12
+        assert abs(branch_trace(br) - 0.25) <= 1e-12
     # A-cheat-1: traces bounded by 1/2, with equality pattern |psi_a|^2 / 2 at m = 1
     theta = 0.8
     for br in run_exact(ProtocolId.PA1, bloch(theta, 0.0)):
-        tr = br.sub_normalized().trace
+        tr = branch_trace(br)
         assert tr <= 0.5 + 1e-12
         want = (np.cos(theta / 2) ** 2 if br.announcement.a == 0 else np.sin(theta / 2) ** 2) / 2
         assert abs(tr - want) <= 1e-12
     for br in run_exact(ProtocolId.PA1, ghz(2, 1.3)):
-        assert br.sub_normalized().trace <= 0.5 + 1e-12
+        assert branch_trace(br) <= 0.5 + 1e-12
     # A-cheat-2 at m = 1: the sub-normalized branch operator is exactly I/8
     # (trace 1/4, the branch probability)
     for br in run_exact(ProtocolId.PA2, bloch(2.1, 0.5)):
-        np.testing.assert_allclose(br.sub_normalized().matrix, np.eye(2) / 8, atol=1e-12)
+        np.testing.assert_allclose(br.probability * br.logical.matrix, np.eye(2) / 8, atol=1e-12)
     # AB-cheat at m = 1: 1/2 per branch
     for br in run_exact(ProtocolId.PAB, bloch(0.9, 2.2)):
-        assert abs(br.sub_normalized().trace - 0.5) <= 1e-12
+        assert abs(branch_trace(br) - 0.5) <= 1e-12
     note(7, "PASS", "traces: P0 1/4, PB(m=1) 1/4, PA1 bounded by 1/2 (= |psi_a|^2/2 at m=1), "
                     "PA2(m=1) operator I/8, PAB(m=1) 1/2")
 
@@ -229,7 +239,7 @@ def test_criterion_7_trace_bookkeeping_attainable():
 def test_criterion_7_pb_m2_tabulated_trace():
     note(7, "FAIL (documented)", "PB m=2 branch traces: tabulated 1/8 vs enumerated 1/4")
     for br in run_exact(ProtocolId.PB, ghz(2, 1.0)):
-        assert abs(br.sub_normalized().trace - 1 / 8) <= 1e-12
+        assert abs(branch_trace(br) - 1 / 8) <= 1e-12
 
 
 @pytest.mark.xfail(strict=True,
@@ -238,7 +248,7 @@ def test_criterion_7_pb_m2_tabulated_trace():
 def test_criterion_7_pab_m2_tabulated_trace():
     note(7, "FAIL (documented)", "PAB m=2 branch traces: tabulated 1/4 vs enumerated 1/2")
     for br in run_exact(ProtocolId.PAB, ghz(2, 1.0)):
-        assert abs(br.sub_normalized().trace - 1 / 4) <= 1e-12
+        assert abs(branch_trace(br) - 1 / 4) <= 1e-12
 
 
 # -- criterion 8 -------------------------------------------------------------
@@ -284,7 +294,7 @@ def test_criterion_9_property_suites():
     for g in (hadamard(), pauli_x(), pauli_z(), cnot(),
               entanglement_gadget(), entanglement_gadget_inverse(),
               ghz_rotation(2, 2.3), ghz_rotation(3, 0.4)):
-        assert np.max(np.abs(g.entries.conj().T @ g.entries - np.eye(g.dim))) <= 1e-12
+        assert np.max(np.abs(g.entries.conj().T @ g.entries - np.eye(len(g.entries)))) <= 1e-12
 
     # branch probabilities sum to one for every protocol
     for protocol in ProtocolId:

@@ -11,7 +11,7 @@ from telecert.certify import (
     self_threshold,
     threshold_table,
 )
-from telecert.fidelity import exact_threshold
+from telecert.fidelity import exact_report
 from telecert.protocols import InputFamily, ProtocolId, ProtocolParams
 
 TAB = AdversaryModel(Adversary.CHEATING_A, ThresholdSource.TABULATED)
@@ -153,7 +153,7 @@ def test_computed_pointwise_threshold_matches_theta_sweep(adversary, protocols):
     # reference runs the interpreter at each of the same 33 angles
     grid = np.linspace(0, np.pi, 33)
     for m in (1, 2, 3, 8):
-        want = max(exact_threshold(p, ProtocolParams(m=m, family=InputFamily.GHZ, theta=t))
+        want = max(exact_report(p, ProtocolParams(m=m, family=InputFamily.GHZ, theta=t)).f_th
                    for p in protocols for t in grid)
         assert abs(self_threshold(adversary, Criterion.POINTWISE, m) - want) <= 1e-12
 

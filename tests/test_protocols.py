@@ -9,7 +9,6 @@ from telecert.protocols import (
     ANNOUNCING,
     DRAW_KINDS,
     PROTOCOL_OPS,
-    Announcement,
     InputFamily,
     ProtocolId,
     ProtocolParams,
@@ -183,7 +182,7 @@ def test_pab_m1_branch_data():
         want = np.zeros((2, 2))
         want[br.announcement.a, br.announcement.a] = 1.0
         np.testing.assert_allclose(br.logical.matrix, want, atol=1e-12)
-        assert br.sub_normalized().trace == pytest.approx(0.5, abs=1e-12)
+        assert br.probability * br.logical.trace == pytest.approx(0.5, abs=1e-12)
 
 
 def test_pa1_zero_probability_branch_flagged():
@@ -301,15 +300,11 @@ def test_run_sampled_p0_and_pa2_outputs():
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
 @pytest.mark.parametrize("m", [13, 10**6])
-def test_sub_normalized_stays_logical_at_any_m(protocol, m):
-    # past m = 12 a dense m-qubit output would not fit one array; the
-    # sub-normalized operator stays on the two logical qubits
+def test_branch_outputs_stay_logical_at_any_m(protocol, m):
+    # past m = 12 a dense m-qubit output would not fit one array; every
+    # branch output stays on the two logical qubits
     for br in run_exact(protocol, ghz(m, 0.8)):
-        sub = br.sub_normalized()
-        assert sub.num_qubits == 2
-        np.testing.assert_allclose(sub.matrix, br.probability * br.logical.matrix,
-                                   rtol=0, atol=1e-15)
-        assert sub.trace == pytest.approx(br.probability, abs=1e-15)
+        assert br.logical.num_qubits == 2
 
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
@@ -644,9 +639,3 @@ def test_run_sampled_frequencies_match_exact(protocol):
         band = 4 * np.sqrt(p * (1 - p) / n)
         assert abs(freq - p) <= band, (protocol, key, freq, p)
 
-
-def test_announcement_key_ordering():
-    branches = run_exact(ProtocolId.P0, ghz(2, 0.4))
-    keys = [br.announcement.key() for br in branches]
-    assert keys == sorted(keys)
-    assert Announcement(1, None).key() == (1, -1)

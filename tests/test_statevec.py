@@ -165,6 +165,11 @@ def test_density_operator_validation():
         DensityOperator(1, np.array([[1.5, 0], [0, -0.5]]))  # not PSD
     with pytest.raises(ValueError):
         DensityOperator(1, np.eye(2))  # trace 2 > 1
+    # positivity is checked at any size: 9 qubits, trace 0.4, one eigenvalue -0.1
+    mat = np.zeros((512, 512))
+    mat[0, 0], mat[511, 511] = 0.5, -0.1
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        DensityOperator(9, mat)
 
 
 def test_purestate_validation_and_immutability():
