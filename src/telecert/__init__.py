@@ -6,7 +6,6 @@ from types import ModuleType as _ModuleType
 
 from .certify import (
     Adversary,
-    AdversaryModel,
     CertificateDecision,
     Criterion,
     ThresholdSource,

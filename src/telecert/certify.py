@@ -1,4 +1,4 @@
-"""Certificate decisions: observed fidelity + adversary model -> issue/deny.
+"""Certificate decisions: observed fidelity + adversary + bar source -> issue/deny.
 
 A certificate is issued only when observed > threshold + ATOL_CONSTRUCT
 (1e-12), for either source: under "meets the bar" a perfect classical cheater
@@ -19,6 +19,8 @@ branch bookkeeping convention whose probabilities sum to 1/2; the enumerated
 value conserves probability). threshold_table reports both with provenance.
 Both sources answer the same (model, criterion) pairs, the keys of
 _TABULATED, and refuse every other pair with one message.
+select_threshold names the bar of an (adversary, criterion, m, source) and
+decide compares an observation with it; --self observes the computed bar.
 """
 from __future__ import annotations
 
@@ -54,12 +56,6 @@ class Criterion(Enum):
 class ThresholdSource(Enum):
     TABULATED = "tabulated"
     COMPUTED = "computed"
-
-
-@dataclass(frozen=True)
-class AdversaryModel:
-    adversary: Adversary
-    threshold_source: ThresholdSource = ThresholdSource.TABULATED
 
 
 # the rule for issuing a certificate, as certify reports it
@@ -151,18 +147,21 @@ def _computed_threshold(adversary: Adversary, criterion: Criterion, m: int) -> t
     return value, f"computed: postselected Bloch-sphere average of {names} (m=1)"
 
 
-def select_threshold(model: AdversaryModel, criterion: Criterion, m: int) -> tuple[float, str]:
-    if reason := _undefined(model.adversary, criterion):
+def select_threshold(adversary: Adversary, criterion: Criterion, m: int,
+                     source: ThresholdSource = ThresholdSource.TABULATED) -> tuple[float, str]:
+    """The bar (value, provenance) that the adversary must strictly beat, from the source."""
+    if reason := _undefined(adversary, criterion):
         raise ValueError(reason)
-    if model.threshold_source is ThresholdSource.COMPUTED:
-        return _computed_threshold(model.adversary, criterion, m)
-    return _TABULATED[(model.adversary, criterion)]
+    if source is ThresholdSource.COMPUTED:
+        return _computed_threshold(adversary, criterion, m)
+    return _TABULATED[(adversary, criterion)]
 
 
-def decide(observed: float, model: AdversaryModel, m: int = 1,
+def decide(observed: float, adversary: Adversary, m: int = 1,
            family: InputFamily = InputFamily.BLOCH,
-           criterion: Criterion = Criterion.POINTWISE) -> CertificateDecision:
-    """Issue or deny the certificate matching the adversary model.
+           criterion: Criterion = Criterion.POINTWISE,
+           source: ThresholdSource = ThresholdSource.TABULATED) -> CertificateDecision:
+    """Issue or deny the certificate matching the adversary.
 
     The verdict is issue exactly when observed exceeds the selected threshold
     by more than ATOL_CONSTRUCT, so it is monotone in the observation.
@@ -170,18 +169,12 @@ def decide(observed: float, model: AdversaryModel, m: int = 1,
     ProtocolParams(m=m, family=family)  # raises for a pair no run accepts
     if not (0.0 <= observed <= 1.0) or math.isnan(observed):
         raise ValueError(f"observed fidelity {observed} outside [0, 1]")
-    if reason := _undefined(model.adversary, criterion, family):
+    if reason := _undefined(adversary, criterion, family):
         raise ValueError(reason)
-    threshold, provenance = select_threshold(model, criterion, m)
+    threshold, provenance = select_threshold(adversary, criterion, m, source)
     verdict = "issue" if observed > threshold + ATOL_CONSTRUCT else "deny"
-    return CertificateDecision(_CERT_ID[model.adversary], observed, threshold,
+    return CertificateDecision(_CERT_ID[adversary], observed, threshold,
                                verdict, provenance, criterion.value)
-
-
-def self_threshold(adversary: Adversary, criterion: Criterion, m: int) -> float:
-    """The adversary's own optimum under the criterion (what --self feeds in)."""
-    value, _ = select_threshold(AdversaryModel(adversary, ThresholdSource.COMPUTED), criterion, m)
-    return value
 
 
 def threshold_table(m: int, family: InputFamily) -> list[dict]:
@@ -193,8 +186,7 @@ def threshold_table(m: int, family: InputFamily) -> list[dict]:
             if _undefined(adversary, criterion, family) is not None:
                 continue
             for source in ThresholdSource:
-                model = AdversaryModel(adversary, source)
-                value, provenance = select_threshold(model, criterion, m)
+                value, provenance = select_threshold(adversary, criterion, m, source)
                 rows.append({
                     "model": adversary.value,
                     "certificate": _CERT_ID[adversary],

@@ -21,26 +21,24 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import __version__
-from .certify import (
-    Adversary,
-    AdversaryModel,
-    Criterion,
-    ThresholdSource,
-    decide,
-    self_threshold,
-    threshold_table,
-)
+from .certify import (Adversary, Criterion, ThresholdSource, decide, select_threshold,
+                      threshold_table)
 from .fidelity import exact_report, monte_carlo_threshold, theta_average, theta_sweep
 from .protocols import InputFamily, ProtocolId, ProtocolParams, run_exact
 
 SEED_ENV = "TELECERT_SEED"
 
 F_TH_DEFINITION = "sum over announcements of probability-weighted target overlap"
+
+# A token that starts a negative float, -1e-3 and -inf included, is a value, not an
+# option: argparse's own matcher takes only the likes of -5 and -.5 on some versions.
+_NEGATIVE_NUMBER = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 def _config_tokens(path: str) -> list[str]:
@@ -181,15 +179,20 @@ def cmd_certify(args) -> dict:
         # Self-evaluation feeds the adversary's own computed optimum back in,
         # always against the computed threshold: the cheater cannot strictly
         # exceed their own optimum, so the verdict is deny.
-        observed = self_threshold(adversary, criterion, args.m)
+        if args.observed is not None:
+            raise ValueError("--self observes the model's own optimum; drop --observed")
+        if args.threshold_source == "tabulated":
+            raise ValueError("--self compares against the computed threshold; "
+                             "drop --threshold-source tabulated")
         source = ThresholdSource.COMPUTED
+        observed, _ = select_threshold(adversary, criterion, args.m, source)
     else:
         if args.observed is None:
             raise ValueError("provide --observed or --self")
         observed = args.observed
-        source = ThresholdSource(args.threshold_source)
-    decision = decide(observed, AdversaryModel(adversary, source), m=args.m,
-                      family=family, criterion=criterion)
+        source = ThresholdSource(args.threshold_source or "tabulated")
+    decision = decide(observed, adversary, m=args.m, family=family, criterion=criterion,
+                      source=source)
     return {
         "model": adversary.value,
         "certificate": decision.certificate,
@@ -227,6 +230,7 @@ def cmd_thresholds(args) -> dict:
 
 
 def _add_common(sub, protocol=True, angles=True):
+    sub._negative_number_matcher = _NEGATIVE_NUMBER  # argparse's private hook; see above
     sub.add_argument("--config", help="config file with KEY=VALUE lines (flags override)")
     sub.add_argument("--format", default="json", choices=["json", "csv", "table"])
     sub.add_argument("--m", type=int, default=1, help="teleported-share register size")
@@ -272,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--criterion", default="pointwise",
                         help="pointwise | theta_average | bloch_postselected")
     p_cert.add_argument("--observed", type=float, default=None)
-    p_cert.add_argument("--threshold-source", default="tabulated",
-                        choices=["tabulated", "computed"])
+    p_cert.add_argument("--threshold-source", choices=["tabulated", "computed"])
     p_cert.add_argument("--self", dest="self_evaluate", action="store_true",
                         help="evaluate the model's own protocol optimum")
     p_cert.set_defaults(func=cmd_certify)

@@ -14,11 +14,10 @@ import pytest
 
 from telecert.certify import (
     Adversary,
-    AdversaryModel,
     Criterion,
     ThresholdSource,
     decide,
-    self_threshold,
+    select_threshold,
 )
 from telecert.channels import measure_branches, trash
 from telecert.fidelity import bloch_average, exact_report, monte_carlo_threshold, theta_average
@@ -257,7 +256,6 @@ def test_criterion_8_certification_logic():
     # self-defeating cheats: the adversary's own optimum never strictly
     # exceeds the computed threshold
     for adversary in (Adversary.CHEATING_A, Adversary.CHEATING_B, Adversary.CHEATING_AB):
-        model = AdversaryModel(adversary, ThresholdSource.COMPUTED)
         for criterion, family, m in [
             (Criterion.POINTWISE, InputFamily.GHZ, 2),
             (Criterion.THETA_AVERAGE, InputFamily.GHZ, 2),
@@ -265,21 +263,21 @@ def test_criterion_8_certification_logic():
         ]:
             if criterion is Criterion.BLOCH_POSTSELECTED and adversary is Adversary.CHEATING_A:
                 continue
-            own = self_threshold(adversary, criterion, m)
-            d = decide(own, model, m=m, family=family, criterion=criterion)
+            own = select_threshold(adversary, criterion, m, ThresholdSource.COMPUTED)[0]
+            d = decide(own, adversary, m=m, family=family, criterion=criterion,
+                       source=ThresholdSource.COMPUTED)
             assert d.verdict == "deny", (adversary, criterion)
 
     # honest protocol output passes every cheating model
     for adversary in (Adversary.CHEATING_A, Adversary.CHEATING_B, Adversary.CHEATING_AB):
         for source in ThresholdSource:
-            d = decide(1.0, AdversaryModel(adversary, source), m=1)
+            d = decide(1.0, adversary, m=1, source=source)
             assert d.verdict == "issue"
 
     # monotonicity over 1000 random observations
     rng = np.random.default_rng(88)
-    model = AdversaryModel(Adversary.CHEATING_AB)
     xs = np.sort(rng.uniform(0, 1, 1000))
-    verdicts = [decide(x, model, m=1).verdict for x in xs]
+    verdicts = [decide(x, Adversary.CHEATING_AB, m=1).verdict for x in xs]
     switch = verdicts.index("issue") if "issue" in verdicts else len(verdicts)
     assert all(v == "deny" for v in verdicts[:switch])
     assert all(v == "issue" for v in verdicts[switch:])

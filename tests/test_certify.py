@@ -4,31 +4,30 @@ import pytest
 from telecert import certify
 from telecert.certify import (
     Adversary,
-    AdversaryModel,
     Criterion,
     ThresholdSource,
     decide,
-    self_threshold,
+    select_threshold,
     threshold_table,
 )
 from telecert.fidelity import exact_report
 from telecert.protocols import InputFamily, ProtocolId, ProtocolParams
 
-TAB = AdversaryModel(Adversary.CHEATING_A, ThresholdSource.TABULATED)
+TAB = dict(adversary=Adversary.CHEATING_A, source=ThresholdSource.TABULATED)
 
 
 def test_decide_examples():
-    d = decide(0.51, AdversaryModel(Adversary.CHEATING_A), m=1)
+    d = decide(0.51, Adversary.CHEATING_A, m=1)
     assert d.verdict == "issue" and d.certificate == 3
 
-    d = decide(0.5, AdversaryModel(Adversary.CHEATING_A), m=1)
+    d = decide(0.5, Adversary.CHEATING_A, m=1)
     assert d.verdict == "deny"  # boundary goes to the adversary
 
-    d = decide(0.70, AdversaryModel(Adversary.CHEATING_B), m=1,
+    d = decide(0.70, Adversary.CHEATING_B, m=1,
                family=InputFamily.BLOCH, criterion=Criterion.BLOCH_POSTSELECTED)
     assert d.verdict == "issue" and d.threshold == pytest.approx(2 / 3)
 
-    d = decide(0.375, AdversaryModel(Adversary.CHEATING_AB), m=2,
+    d = decide(0.375, Adversary.CHEATING_AB, m=2,
                family=InputFamily.GHZ, criterion=Criterion.THETA_AVERAGE)
     assert d.verdict == "deny"  # equality is not strict exceedance
 
@@ -36,7 +35,7 @@ def test_decide_examples():
 def test_honest_certificate_needs_strict_exceedance():
     # fidelity exactly 1 does not strictly exceed the honest threshold 1,
     # so the perfection certificate is never issued
-    d = decide(1.0, AdversaryModel(Adversary.HONEST))
+    d = decide(1.0, Adversary.HONEST)
     assert d.certificate == 1 and d.verdict == "deny"
 
 
@@ -50,14 +49,13 @@ def test_honest_protocol_passes_every_cheating_model():
             ]:
                 if criterion is Criterion.BLOCH_POSTSELECTED and adversary is Adversary.CHEATING_A:
                     continue
-                d = decide(1.0, AdversaryModel(adversary, source), m=m,
-                           family=family, criterion=criterion)
+                d = decide(1.0, adversary, m=m, family=family, criterion=criterion,
+                           source=source)
                 assert d.verdict == "issue", (adversary, source, criterion)
 
 
 def test_self_defeating_cheats_are_denied():
     for adversary in (Adversary.CHEATING_A, Adversary.CHEATING_B, Adversary.CHEATING_AB):
-        model = AdversaryModel(adversary, ThresholdSource.COMPUTED)
         for criterion, family, m in [
             (Criterion.POINTWISE, InputFamily.GHZ, 2),
             (Criterion.THETA_AVERAGE, InputFamily.GHZ, 2),
@@ -65,8 +63,9 @@ def test_self_defeating_cheats_are_denied():
         ]:
             if criterion is Criterion.BLOCH_POSTSELECTED and adversary is Adversary.CHEATING_A:
                 continue
-            own = self_threshold(adversary, criterion, m)
-            d = decide(own, model, m=m, family=family, criterion=criterion)
+            own = select_threshold(adversary, criterion, m, ThresholdSource.COMPUTED)[0]
+            d = decide(own, adversary, m=m, family=family, criterion=criterion,
+                       source=ThresholdSource.COMPUTED)
             assert d.verdict == "deny", (adversary, criterion)
 
 
@@ -92,17 +91,16 @@ def test_cheat_optimum_is_denied_and_beaten_by_1e9_issued(adversary, criterion, 
     # its boundary is 3/16.
     if source is ThresholdSource.TABULATED:
         optimum = certify._TABULATED[(adversary, criterion)][0]
-    model = AdversaryModel(adversary, source)
-    kw = dict(m=m, family=family, criterion=criterion)
-    assert decide(optimum, model, **kw).verdict == "deny"
-    assert decide(optimum + 1e-9, model, **kw).verdict == "issue"
+    kw = dict(m=m, family=family, criterion=criterion, source=source)
+    assert decide(optimum, adversary, **kw).verdict == "deny"
+    assert decide(optimum + 1e-9, adversary, **kw).verdict == "issue"
 
 
 def test_decide_monotone_in_observed():
     rng = np.random.default_rng(2)
-    for model in (AdversaryModel(Adversary.CHEATING_A), AdversaryModel(Adversary.CHEATING_B)):
+    for adversary in (Adversary.CHEATING_A, Adversary.CHEATING_B):
         observations = np.sort(rng.uniform(0, 1, size=1000))
-        verdicts = [decide(x, model, m=1).verdict for x in observations]
+        verdicts = [decide(x, adversary, m=1).verdict for x in observations]
         first_issue = verdicts.index("issue") if "issue" in verdicts else len(verdicts)
         assert all(v == "deny" for v in verdicts[:first_issue])
         assert all(v == "issue" for v in verdicts[first_issue:])
@@ -110,13 +108,13 @@ def test_decide_monotone_in_observed():
 
 def test_decide_validation():
     with pytest.raises(ValueError):
-        decide(1.2, TAB)
+        decide(1.2, **TAB)
     with pytest.raises(ValueError):
-        decide(-0.1, TAB)
+        decide(-0.1, **TAB)
     with pytest.raises(ValueError):
-        decide(0.5, TAB, family=InputFamily.BLOCH, criterion=Criterion.THETA_AVERAGE)
+        decide(0.5, **TAB, family=InputFamily.BLOCH, criterion=Criterion.THETA_AVERAGE)
     with pytest.raises(ValueError):
-        decide(0.5, TAB, family=InputFamily.BLOCH, criterion=Criterion.BLOCH_POSTSELECTED)
+        decide(0.5, **TAB, family=InputFamily.BLOCH, criterion=Criterion.BLOCH_POSTSELECTED)
     with pytest.raises(ValueError):
         Adversary.parse("cheating_c")
 
@@ -143,6 +141,19 @@ def test_threshold_table_m2_ghz_averaged():
     assert values[("cheating_a", "theta_average", "computed")] == pytest.approx(3 / 8, abs=1e-9)
 
 
+@pytest.mark.parametrize("m, family", [
+    (1, InputFamily.BLOCH), (2, InputFamily.GHZ), (3, InputFamily.GHZ), (1, InputFamily.TRIVIAL)])
+def test_select_threshold_is_every_table_row(m, family):
+    # the table reads each row through select_threshold, under both sources
+    rows = threshold_table(m, family)
+    certify._computed_threshold.cache_clear()  # recompute, not read back the table's entries
+    assert {r["source"] for r in rows} == {s.value for s in ThresholdSource}
+    for row in rows:
+        got = select_threshold(Adversary(row["model"]), Criterion(row["criterion"]), m,
+                               ThresholdSource(row["source"]))
+        assert got == (row["threshold"], row["provenance"]), row
+
+
 @pytest.mark.parametrize("adversary, protocols", [
     (Adversary.CHEATING_A, (ProtocolId.PA1, ProtocolId.PA2)),
     (Adversary.CHEATING_B, (ProtocolId.PB,)),
@@ -155,21 +166,27 @@ def test_computed_pointwise_threshold_matches_theta_sweep(adversary, protocols):
     for m in (1, 2, 3, 8):
         want = max(exact_report(p, ProtocolParams(m=m, family=InputFamily.GHZ, theta=t)).f_th
                    for p in protocols for t in grid)
-        assert abs(self_threshold(adversary, Criterion.POINTWISE, m) - want) <= 1e-12
+        got, _ = select_threshold(adversary, Criterion.POINTWISE, m, ThresholdSource.COMPUTED)
+        assert abs(got - want) <= 1e-12
 
 
 def test_computed_threshold_cache_is_bounded():
     # m is unbounded, so thresholds at many share sizes evict the oldest
     # entries instead of growing the cache; an evicted entry is recomputed
     cached = certify._computed_threshold
+
+    def own(m):
+        return select_threshold(Adversary.CHEATING_A, Criterion.THETA_AVERAGE, m,
+                                ThresholdSource.COMPUTED)[0]
+
     cached.cache_clear()
-    first = self_threshold(Adversary.CHEATING_A, Criterion.THETA_AVERAGE, 1)
+    first = own(1)
     limit = cached.cache_info().maxsize
     assert limit is not None
     for m in range(2, limit + 50):
-        self_threshold(Adversary.CHEATING_A, Criterion.THETA_AVERAGE, m)
+        own(m)
     assert cached.cache_info().currsize == limit
     misses = cached.cache_info().misses
-    assert self_threshold(Adversary.CHEATING_A, Criterion.THETA_AVERAGE, 1) == first
+    assert own(1) == first
     assert cached.cache_info().misses == misses + 1
     cached.cache_clear()

@@ -126,6 +126,9 @@ def test_certify_self_always_denies_cheats(capsys, model, criterion, family, m):
     assert payload["verdict"] == "deny"
     assert payload["self_evaluation"] is True
     assert payload["threshold_source"] == "computed"
+    # naming the source --self uses changes nothing
+    assert run_cli(capsys, "certify", "--model", model, "--criterion", criterion, "--family",
+                   family, "--m", str(m), "--self", "--threshold-source", "computed") == (0, out, "")
 
 
 # The (model, criterion) pairs with no threshold under either source.
@@ -662,6 +665,13 @@ def test_table_stdout_pinned(capsys, argv, want):
     assert run_cli(capsys, *argv, "--format", "table") == (0, want, "")
 
 
+SELF = ("certify", "--model", "cheating_b", "--criterion", "theta_average", "--family", "ghz",
+        "--m", "2", "--self")
+SELF_OBSERVED = "error: --self observes the model's own optimum; drop --observed\n"
+SELF_TABULATED = ("error: --self compares against the computed threshold; "
+                  "drop --threshold-source tabulated\n")
+
+
 @pytest.mark.parametrize("argv,env,config,want", [
     (("run", "--mode", "monte_carlo", "--seed", "-1"), None, None,
      "error: seed must be >= 0, got -1\n"),
@@ -693,10 +703,16 @@ def test_table_stdout_pinned(capsys, argv, want):
     (("sweep", "--points", "0"), None, None, "error: points must be >= 1, got 0\n"),
     (("sweep", "--points", "0", "--format", "csv"), None, None,
      "error: points must be >= 1, got 0\n"),
+    ((*SELF, "--observed", "0.99"), None, None, SELF_OBSERVED),
+    (SELF, None, "observed=0.99\n", SELF_OBSERVED),
+    (SELF[:-1], None, "self=true\nobserved=0.99\n", SELF_OBSERVED),
+    ((*SELF, "--threshold-source", "tabulated"), None, None, SELF_TABULATED),
+    (SELF, None, "threshold_source=tabulated\n", SELF_TABULATED),
 ], ids=["seed-flag", "seed-env", "seed-env-abc", "seed-env-1.5", "seed-config", "gauss-abc",
         "gauss-1.5", "gauss-empty", "kind-unknown", "exact-resolution", "gauss-huge",
         "grid-huge", "points-negative",
-        "points-zero", "points-zero-csv"])
+        "points-zero", "points-zero-csv", "self-observed", "self-observed-config",
+        "self-config-observed", "self-tabulated", "self-tabulated-config"])
 def test_bad_values_exit_2_naming_the_input(tmp_path, capsys, monkeypatch, argv, env, config,
                                             want):
     if env is None:
@@ -708,6 +724,32 @@ def test_bad_values_exit_2_naming_the_input(tmp_path, capsys, monkeypatch, argv,
         cfg.write_text(config)
         argv = (*argv, "--config", str(cfg))
     assert run_cli(capsys, *argv) == (2, "", want)
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--theta", "-1e-3"),
+    ("run", "--theta", "-inf"),
+    ("run", "--phi", "-2.5E+1"),
+    ("sweep", "--points", "3", "--theta-start", "-1e-3"),
+    ("sweep", "--points", "3", "--theta-stop", "-1E-1"),
+    ("certify", "--model", "cheating_a", "--observed", "-1e-3"),
+    ("certify", "--model", "cheating_a", "--observed", "-0e0"),
+])
+def test_spaced_negative_value_parses_as_its_equals_form(capsys, argv):
+    # argparse reads only the likes of -5 and -.5 as numbers on some versions;
+    # an exponent or -inf after a flag must still be its value
+    def outcome(args):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    joined = (*argv[:-2], f"{argv[-2]}={argv[-1]}")
+    assert outcome(argv) == outcome(joined)
+    if argv[-1] == "-inf":
+        assert outcome(argv) == (2, "", "error: theta must be finite, got -inf\n")
 
 
 def test_missing_config_file(capsys):

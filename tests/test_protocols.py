@@ -117,6 +117,23 @@ def test_p0_trivial_m1_four_equal_branches():
         np.testing.assert_allclose(br.logical.matrix, target.matrix, atol=1e-12)
 
 
+_TARGETS = np.random.default_rng(27).uniform(0.0, 2 * np.pi, size=(8, 2))
+
+
+@pytest.mark.parametrize("protocol, probability", [
+    (ProtocolId.P0, 1 / 4), (ProtocolId.PB, 1 / 4), (ProtocolId.PAB, 1 / 2)])
+@pytest.mark.parametrize("params", [
+    *[ProtocolParams(m=m, family=InputFamily.TRIVIAL) for m in (1, 2)],
+    *[ghz(m, t) for m in (1, 2, 3, 4) for t, _ in _TARGETS],
+    *[bloch(t, p) for t, p in _TARGETS],
+])
+def test_announcement_carries_no_information_about_the_target(protocol, probability, params):
+    # every announcement is equally likely whatever the target: observing it
+    # tells nothing about theta, phi or the family
+    for br in run_exact(protocol, params):
+        assert abs(br.probability - probability) <= 1e-12, br.announcement
+
+
 @pytest.mark.parametrize("params", [
     ProtocolParams(m=2, family=InputFamily.TRIVIAL),
     *[ghz(m, t) for m in (1, 2, 3) for t in np.linspace(0, np.pi, 20)],

@@ -5,8 +5,8 @@ import telecert
 # Every public name telecert exports; its submodules are attributes, not
 # exports. An added or removed name shows as a diff of this list.
 PUBLIC_NAMES = [
-    "Adversary", "AdversaryModel", "Announcement", "BlochAverageReport", "Branch",
-    "BranchFidelity", "CertificateDecision", "Criterion", "DensityOperator", "FidelityReport",
+    "Adversary", "Announcement", "BlochAverageReport", "Branch", "BranchFidelity",
+    "CertificateDecision", "Criterion", "DensityOperator", "FidelityReport",
     "InputFamily", "MeasurementOutcome", "ProtocolId", "ProtocolParams", "PureState",
     "RngStream", "TargetState", "ThresholdSource", "UnitaryMatrix", "apply_unitary",
     "basis_state", "bloch_average", "build_target", "cnot", "decide",
