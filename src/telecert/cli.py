@@ -253,7 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--mode", default="exact", choices=["exact", "monte_carlo"])
     p_run.add_argument("--shots", type=int, default=100000)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=1)
+    p_run.add_argument("--threads", type=int, default=1,
+                       help="Monte Carlo workers, at most one per chunk and per CPU; "
+                            "results do not depend on it")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = subs.add_parser("sweep", help="exact f_th over a theta grid (ghz family)")

@@ -31,13 +31,17 @@ protocols._trajectory_table, the table run_sampled reads, for the
 announcements, the sampler's word thresholds and the branch fidelities. Each
 worker reads one Philox stream over a contiguous range of chunks, and the
 chunks are reduced through outcome tallies counted off the sampled bits, so
-results are deterministic for a fixed seed regardless of thread count.
+results are deterministic for a fixed seed regardless of thread count. The
+caller is worker 0; each further worker is one plain thread. A worker holds
+one chunk's Philox block at a time, at most CHUNK_SHOTS rows x bits x 8 B
+(512 KiB at 2 bits per shot).
 """
 from __future__ import annotations
 
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -283,8 +287,10 @@ def bloch_average(protocol: ProtocolId, postselect: int | None = None) -> BlochA
 # Monte Carlo estimation
 
 # Shots per chunk; a multiple of 4, so every chunk starts on a Philox counter
-# step whatever the number of bits per shot.
-CHUNK_SHOTS = 2**16
+# step whatever the number of bits per shot. A worker's live Philox block is
+# at most CHUNK_SHOTS rows x bits x 8 B: 512 KiB at 2 bits per shot. Below
+# 2^15 the per-chunk overhead starts to show in the draw-sample-tally loop.
+CHUNK_SHOTS = 2**15
 
 
 def _branch_tally(bits: list[np.ndarray]) -> list[int]:
@@ -318,12 +324,17 @@ def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: i
     `seed`, so the draws are a function of (seed, shot index) only. Each
     worker takes a contiguous range of chunks of CHUNK_SHOTS shots and reads
     it from one RngStream, skipped once to the range's first row; it draws,
-    samples and tallies chunk by chunk, so memory is bounded by the chunk,
-    not the shot count. There is at most one worker per chunk and per CPU
-    the process may run on (its affinity mask). A chunk is tallied from the
-    counts of its sampled bits (_branch_tally), and the reduction goes
-    through these integer tallies, which makes the estimate independent of
-    chunking and thread count.
+    samples and tallies chunk by chunk, so a worker holds at most
+    CHUNK_SHOTS rows x bits x 8 B of words, whatever the shot count. There
+    is at most one worker per chunk and per CPU the process may run on (its
+    affinity mask, else os.cpu_count()). The caller is worker 0, and
+    workers 1..n-1 are plain threads, so threads=1 starts none. The caller
+    joins every thread and re-raises the error of the lowest-numbered worker
+    that failed; after a failure the others stop at their next chunk, so an
+    error or an interrupt does not wait out the whole run. A chunk is tallied
+    from the counts of its sampled bits (_branch_tally), and the reduction
+    goes through these integer tallies, which makes the estimate
+    independent of chunking and thread count.
     """
     if shots < 100:
         raise ValueError("shots must be >= 100")
@@ -331,7 +342,6 @@ def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: i
         raise ValueError("threads must be >= 1")
     if seed < 0:  # before any worker seeds its stream
         raise ValueError(f"seed must be >= 0, got {seed}")
-    from concurrent.futures import ThreadPoolExecutor  # on use: no other command needs it
 
     table = _trajectory_table(protocol, params)
     fids = table.fidelities
@@ -347,14 +357,39 @@ def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: i
         rng.skip(first * CHUNK_SHOTS * bits)
         tally = [0] * len(fids)
         for start in range(first * CHUNK_SHOTS, min(last * CHUNK_SHOTS, shots), CHUNK_SHOTS):
+            if failed.is_set():  # another worker failed; its error is what the caller raises
+                break
             # the chunk's words are freed once sampled, before the next chunk is drawn
             counts = _branch_tally(_sample_bits(
                 table.thresholds, rng.uniform_block((min(CHUNK_SHOTS, shots - start), bits))))
             tally = [t + c for t, c in zip(tally, counts)]
         return tally
 
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        parts = list(ex.map(tally_range, range(workers)))
+    parts, errors = [None] * workers, [None] * workers
+    failed = threading.Event()
+
+    def work(w):
+        try:
+            parts[w] = tally_range(w)
+        except Exception as exc:  # re-raised by the caller once every worker has stopped
+            errors[w] = exc
+            failed.set()
+
+    helpers = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    try:
+        for helper in helpers:
+            helper.start()
+        work(0)
+    except BaseException:  # a helper that could not start, or an interrupt
+        failed.set()
+        raise
+    finally:
+        for helper in helpers:
+            if helper.ident is not None:  # started
+                helper.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     tally = [sum(column) for column in zip(*parts)]
 
     estimate = math.fsum(c * f for c, f in zip(tally, fids)) / shots

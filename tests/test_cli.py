@@ -339,8 +339,13 @@ def test_import_computes_nothing():
 
 
 def test_import_leaves_the_thread_pool_out():
-    # only Monte Carlo runs a pool; it imports concurrent.futures when called
-    code = "import sys, telecert.cli; print('concurrent.futures' in sys.modules)"
+    # Monte Carlo's helpers are plain threads: no command, a two-worker
+    # Monte Carlo run included, imports concurrent.futures
+    code = ("import contextlib, io, sys; from telecert.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['run', '--protocol', 'pb', '--m', '2', '--family', 'ghz', '--mode',\n"
+            "          'monte_carlo', '--shots', '100000', '--seed', '7', '--threads', '2'])\n"
+            "print('concurrent.futures' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(telecert.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)

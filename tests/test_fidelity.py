@@ -1,7 +1,8 @@
-import concurrent.futures
 import functools
 import itertools
 import math
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -551,56 +552,18 @@ def test_monte_carlo_multi_chunk_report_pinned():
         assert [bf.probability for bf in rep.per_branch] == [c / shots for c in counts]
 
 
-def test_monte_carlo_pool_is_bounded(monkeypatch):
-    # --threads asks for at most one worker per chunk (and per core); the
-    # recorder runs the work on one real thread whatever it was asked for
-    asked = []
+def _count_streams(monkeypatch, fail=None):
+    """Record each RngStream a Monte Carlo worker opens, with its thread, skip and block rows.
 
-    class Recorder(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers=None):
-            asked.append(max_workers)
-            super().__init__(max_workers=1)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
-    shots = 2 * CHUNK_SHOTS + 5  # three chunks
-    rep = monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=shots, seed=5,
-                                threads=10**6)
-    assert len(asked) == 1 and 1 <= asked[0] <= 3
-    monkeypatch.undo()
-    ref = monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=shots, seed=5)
-    assert rep == ref
-
-
-def test_monte_carlo_pool_is_capped_at_the_cpus_it_may_run_on(monkeypatch):
-    # an affinity mask of one CPU gives one worker however many cores exist;
-    # where the OS has no mask, os.cpu_count() caps the pool
-    asked = []
-
-    class Recorder(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers=None):
-            asked.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
-    monkeypatch.setattr(fidelity.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(fidelity.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    shots = 2 * CHUNK_SHOTS + 5  # three chunks
-    rep = monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=shots, seed=5, threads=3)
-    monkeypatch.delattr(fidelity.os, "sched_getaffinity")
-    monkeypatch.setattr(fidelity.os, "cpu_count", lambda: 2)
-    assert monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=shots, seed=5,
-                                 threads=3) == rep
-    assert asked == [1, 2]
-
-
-def test_monte_carlo_reads_one_stream_per_worker(monkeypatch):
-    # each of 3 workers reads a contiguous range of the 4 chunks from one
-    # stream, skipped once to its first row; together they draw every row once
+    A worker opens exactly one stream, so the records count the workers.
+    fail(rng), if given, runs before each block is drawn and may raise.
+    """
     streams = []
 
     class Counted(RngStream):
         def __init__(self, seed):
             super().__init__(seed)
+            self.thread = threading.current_thread()
             self.skipped, self.rows = None, []
             streams.append(self)
 
@@ -610,20 +573,137 @@ def test_monte_carlo_reads_one_stream_per_worker(monkeypatch):
             super().skip(draws)
 
         def uniform_block(self, shape):
+            if fail is not None:
+                fail(self)
             self.rows.append(shape[0])
             return super().uniform_block(shape)
 
+    monkeypatch.setattr(fidelity, "RngStream", Counted)
+    return streams
+
+
+def _count_threads(monkeypatch):
+    """Record every thread made while the patch holds."""
+    made = []
+
+    class Recorded(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return made
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(fidelity.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def test_monte_carlo_pool_is_bounded(monkeypatch):
+    # --threads asks for at most one worker per chunk: three chunks on eight
+    # CPUs open three streams however many workers were asked for
+    shots = 2 * CHUNK_SHOTS + 5  # three chunks
+    ref = monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=shots, seed=5)
+    _cpus(monkeypatch, 8)
+    streams = _count_streams(monkeypatch)
+    rep = monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=shots, seed=5,
+                                threads=10**6)
+    assert rep == ref
+    assert sorted(rng.skipped for rng in streams) == [0, 2 * CHUNK_SHOTS, 4 * CHUNK_SHOTS]
+
+
+def test_monte_carlo_pool_is_capped_at_the_cpus_it_may_run_on(monkeypatch):
+    # an affinity mask of one CPU gives one worker however many cores exist;
+    # where the OS has no mask, os.cpu_count() caps the pool
+    streams = _count_streams(monkeypatch)
+    monkeypatch.setattr(fidelity.os, "cpu_count", lambda: 64)
+    _cpus(monkeypatch, 1)
+    shots = 2 * CHUNK_SHOTS + 5  # three chunks
+    rep = monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=shots, seed=5, threads=3)
+    assert len(streams) == 1
+    monkeypatch.delattr(fidelity.os, "sched_getaffinity")
+    monkeypatch.setattr(fidelity.os, "cpu_count", lambda: 2)
+    assert monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=shots, seed=5,
+                                 threads=3) == rep
+    assert len(streams) == 1 + 2
+
+
+def test_monte_carlo_caller_is_worker_0(monkeypatch):
+    # threads=1 starts no thread; with three workers the caller reads the
+    # first range and two threads read the others
+    _cpus(monkeypatch, 4)
+    made = _count_threads(monkeypatch)
+    streams = _count_streams(monkeypatch)
+    shots = 2 * CHUNK_SHOTS + 5  # three chunks
+    rep = monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=shots, seed=5, threads=1)
+    assert made == [] and [rng.thread for rng in streams] == [threading.current_thread()]
+    assert monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=shots, seed=5,
+                                 threads=3) == rep
+    first, *rest = sorted(streams[1:], key=lambda rng: rng.skipped)
+    assert first.thread is threading.current_thread()
+    assert len(made) == 2 and {rng.thread for rng in rest} == set(made)
+    assert not any(thread.is_alive() for thread in made)
+
+
+def test_monte_carlo_reads_one_stream_per_worker(monkeypatch):
+    # each of 3 workers reads a contiguous range of the 4 chunks from one
+    # stream, skipped once to its first row; together they draw every row once
     shots = 3 * CHUNK_SHOTS + 5  # four chunks
     ref = monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=shots, seed=5)
-    monkeypatch.setattr(fidelity, "RngStream", Counted)
-    monkeypatch.setattr(fidelity.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
-                        raising=False)
+    streams = _count_streams(monkeypatch)
+    _cpus(monkeypatch, 4)
     rep = monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=shots, seed=5, threads=3)
     assert rep == ref
     assert len(streams) == 3
     by_first = sorted(streams, key=lambda rng: rng.skipped)
     assert [rng.skipped for rng in by_first] == [0, 2 * CHUNK_SHOTS, 4 * CHUNK_SHOTS]  # pb: 2 bits
     assert [rng.rows for rng in by_first] == [[CHUNK_SHOTS], [CHUNK_SHOTS], [CHUNK_SHOTS, 5]]
+
+
+def _fail_worker(w, words_per_range):
+    """A fail hook that runs out of memory in worker w, the one whose stream skips w ranges."""
+    def fail(rng):
+        if rng.skipped == w * words_per_range:
+            raise MemoryError(f"no room for worker {w}'s block")
+    return fail
+
+
+@pytest.mark.parametrize("w", [0, 1, 2], ids=["caller", "helper-1", "helper-2"])
+def test_monte_carlo_worker_error_reaches_the_caller(monkeypatch, w):
+    # the caller re-raises a worker's error once every thread has stopped
+    _cpus(monkeypatch, 4)
+    made = _count_threads(monkeypatch)
+    _count_streams(monkeypatch, _fail_worker(w, 2 * CHUNK_SHOTS))  # pb: 2 bits
+    with pytest.raises(MemoryError, match=f"worker {w}"):
+        monte_carlo_threshold(ProtocolId.PB, ghz(2, 0.8), shots=2 * CHUNK_SHOTS + 5, seed=5,
+                              threads=3)
+    assert len(made) == 2 and not any(thread.is_alive() for thread in made)
+
+
+def test_monte_carlo_workers_stop_after_a_failure(monkeypatch):
+    # the caller fails at its first chunk; the helper stops at its next chunk
+    # boundary instead of drawing the 256 chunks of its range
+    _cpus(monkeypatch, 2)
+    streams = _count_streams(monkeypatch, _fail_worker(0, 256 * CHUNK_SHOTS))  # pab: 1 bit
+    with pytest.raises(MemoryError, match="worker 0"):
+        monte_carlo_threshold(ProtocolId.PAB, ghz(2, 0.8), shots=512 * CHUNK_SHOTS, seed=5,
+                              threads=2)
+    helper, = [rng for rng in streams if rng.skipped]
+    assert len(helper.rows) < 128
+
+
+def test_monte_carlo_worker_memory_error_exits_3(monkeypatch, capsys):
+    _cpus(monkeypatch, 2)
+    made = _count_threads(monkeypatch)
+    _count_streams(monkeypatch, _fail_worker(1, 2 * CHUNK_SHOTS))  # pb: 2 bits
+    code = main(["run", "--protocol", "pb", "--m", "2", "--family", "ghz", "--mode",
+                 "monte_carlo", "--shots", str(2 * CHUNK_SHOTS), "--seed", "7",
+                 "--threads", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"capacity error: no room for worker 1's block\n", err)
+    assert len(made) == 1 and not made[0].is_alive()
 
 
 def test_monte_carlo_reads_only_the_compiled_maps(monkeypatch):
