@@ -272,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_avg.set_defaults(func=cmd_average)
 
     p_cert = subs.add_parser("certify", help="issue or deny a certificate")
-    _add_common(p_cert, protocol=False)
+    _add_common(p_cert, protocol=False, angles=False)
+    p_cert.add_argument("--family", default="bloch", help="trivial | ghz | bloch")
     p_cert.add_argument("--model", required=True,
                         help="honest | cheating_a | cheating_b | cheating_ab")
     p_cert.add_argument("--criterion", default="pointwise",

@@ -53,13 +53,14 @@ branch's validated logical output, built on the first call that draws that
 branch and never before: a branch never drawn may have p_b = 0 and no output.
 A call then draws one RngStream row, one raw Philox word per announced bit,
 through _sample_bits, the one sampler, and returns the drawn branch's
-logical output. A word w stands for u = (w >> 11) * 2^-53, and the sampler
-compares words only: a measured bit is 1 when w >= W = ceil(P(0 | earlier
-bits) * 2^53) * 2^11, exactly when u >= P(0 | earlier bits), and a coin is 1
-when w < 2^63. A later bit whose W differs between prefixes compares each
-row with every prefix's W and mixes the results with boolean ops on the
-earlier bits, for one row or a Monte Carlo chunk alike; no per-shot float,
-shift or gather is made.
+logical output. A word w stands for u = (w >> 11) * 2^-53, and each
+announced bit is one word comparison against its one threshold, for one row
+or a Monte Carlo chunk alike: a measured bit is 1 when w >= W =
+ceil(P(0 | earlier bits) * 2^53) * 2^11, exactly when u >= P(0 | earlier
+bits), and a coin is 1 when w < 2^63. No row's odds for a bit depend on its
+earlier bits (a coin, or a Bell outcome, uniform for every input); a table
+whose W would differ between two prefixes of positive probability is
+refused when it is built.
 Monte Carlo reads the same entry for its announcements, thresholds and
 branch fidelities, so only this module turns a target into sampler inputs,
 and repeated estimates at one target share the entry.
@@ -424,69 +425,50 @@ def _averaged_branches(protocol: ProtocolId, m: int, second: np.ndarray, fourth:
     return announcements, p, pf
 
 
-def _bit_thresholds(kinds: tuple[str, ...], probs: np.ndarray) -> tuple[tuple | None, ...]:
-    """The sampler's per-bit word thresholds at branch probabilities probs (run_exact's order).
+_HALF = np.uint64(2**63)  # the word at which u = 1/2 starts
 
-    Entry j is None for a coin. For a measured bit it is a tuple over the
-    prefixes i of earlier bits (first bit highest) of W = K * 2^11, a
-    np.uint64, with K = ceil(c * 2^53) and c = P(bit j = 0 | i). c * 2^53
-    is exact, so for a word w, whose uniform is u = (w >> 11) * 2^-53,
-    u >= c holds exactly when w >= W: c = 0 gives W = 0. c = 1 gives
-    K = 2^53 and W = 2^64, which no uint64 holds and no word reaches; that
-    prefix's entry is None, "never 1". A bit whose W is the same at every
-    prefix does not depend on the earlier bits and has the one entry. A
-    prefix of probability zero has c = 1/2; the empty prefix has probability
-    1 by definition, not the float sum.
+
+def _bit_thresholds(kinds: tuple[str, ...], probs: np.ndarray) -> tuple[tuple, ...]:
+    """The sampler's (cut, below) pair per announced bit at probs, in run_exact's order.
+
+    Bit j of a row with word w is 1 when w < cut if below, else when w >= cut.
+    A coin is (2^63, True), u < 1/2 for the uniform u = (w >> 11) * 2^-53 of w.
+    A measured bit is (K * 2^11, False), K = ceil(c * 2^53), where
+    c = P(bit j = 0 | earlier bits) at every prefix of positive probability
+    (the empty one has probability 1, not the float sum): c * 2^53 is exact,
+    so w >= K * 2^11 exactly when u >= c. c >= 1 would need 2^64, no uint64,
+    and is (0, True), never 1. Two prefixes with different K raise ValueError.
     """
     out = []
     for j, kind in enumerate(kinds):
         if kind == "coin":
-            out.append(None)
+            out.append((_HALF, True))
             continue
         # joint[i, x]: probability of earlier bits i followed by bit x
         joint = probs.reshape(2**j, 2, -1).sum(axis=2)
         cond0 = joint[:, 0]
         if j:
             prefix = joint.sum(axis=1)
-            cond0 = np.divide(cond0, prefix, out=np.full(2**j, 0.5), where=prefix > 0)
-        cuts = [None if k == 2**53 else np.uint64(k << 11)
-                for k in np.ceil(cond0 * 2.0**53).astype(np.uint64).tolist()]
-        out.append(tuple(cuts[:1] if len(set(cuts)) == 1 else cuts))
+            cond0 = cond0[prefix > 0] / prefix[prefix > 0]
+        ks = set(np.ceil(cond0 * 2.0**53).astype(np.uint64).tolist())
+        if len(ks) > 1:
+            raise ValueError(f"announced bit {j} depends on the earlier bits; "
+                             "the sampler draws each bit against one threshold")
+        [k] = ks
+        out.append((np.uint64(0), True) if k >= 2**53 else (np.uint64(k << 11), False))
     return tuple(out)
 
 
-_HALF = np.uint64(2**63)  # the word at which u = 1/2 starts
-
-
-def _sample_bits(thresholds: tuple[tuple | None, ...], words: np.ndarray) -> list[np.ndarray]:
+def _sample_bits(thresholds: tuple[tuple, ...], words: np.ndarray) -> list[np.ndarray]:
     """Each row's announced bits, one bool array per bit in draw order; the one sampler.
 
-    Column j of words holds bit j's raw Philox words w (RngStream.uniform_block),
-    with thresholds[j] from _bit_thresholds; u = (w >> 11) * 2^-53 is the
-    uniform a word stands for. A measured bit is 1 when w >= W[prefix], the
-    word form of u >= P(0 | earlier bits), and a coin is 1 when w < 2^63,
-    u < 1/2; only uint64 words are compared, and no float or shift is made.
-    A later bit with one W per prefix compares every row with each, then
-    mixes the results by the earlier bits, last bit first, as
-    v0 ^ ((v0 ^ v1) & bit): no gather and no per-row threshold. The same
-    code reads one run_sampled row and a Monte Carlo chunk.
+    Column j of words holds bit j's raw Philox words (RngStream.uniform_block)
+    and thresholds[j] is its (cut, below) pair from _bit_thresholds: one
+    uint64 comparison per bit, and no float or shift. The same code reads one
+    run_sampled row and a Monte Carlo chunk.
     """
-    bits = []
-    for j, threshold in enumerate(thresholds):
-        w = words[:, j]
-        if threshold is None:
-            bits.append(w < _HALF)
-            continue
-        ones = [np.zeros(w.shape, dtype=bool) if t is None else w >= t for t in threshold]
-        if len(ones) > 1:  # one W per prefix: pick by the earlier bits, last first
-            for earlier in reversed(bits):
-                for v0, v1 in zip(ones[::2], ones[1::2]):
-                    v1 ^= v0
-                    v1 &= earlier
-                    v0 ^= v1
-                ones = ones[::2]
-        bits.append(ones[0])
-    return bits
+    return [words[:, j] < cut if below else words[:, j] >= cut
+            for j, (cut, below) in enumerate(thresholds)]
 
 
 @dataclass(eq=False, slots=True)
@@ -499,7 +481,7 @@ class _Trajectories:
     amps: np.ndarray                           # the target's logical amplitudes
     probs: np.ndarray                          # p_b
     fidelities: np.ndarray                     # f_b = p_b * f_b / p_b, 0.0 where p_b = 0
-    thresholds: tuple[tuple | None, ...]       # _bit_thresholds at probs
+    thresholds: tuple[tuple, ...]              # _bit_thresholds': one (cut, below) per bit
     outputs: list[DensityOperator | None]      # E_b(|t><t|) / p_b, None until b is drawn
 
     def output(self, b: int) -> DensityOperator:

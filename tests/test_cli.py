@@ -280,6 +280,23 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert json.loads(out)["f_th"] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_certify_takes_no_angles(tmp_path, capsys):
+    # certify reads no target angle: --theta, --phi and their config keys are
+    # unknown arguments and exit 2, while --family still reaches the decision
+    certify = ("certify", "--model", "cheating_a", "--observed", "0.6")
+    cfg = tmp_path / "angles.cfg"
+    for text, extra in (("", ("--theta", "2")), ("", ("--phi", "9")),
+                        ("theta=2\n", ()), ("phi=9\n", ())):
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main([*certify, *extra, "--config", str(cfg)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --" in err
+    code, out, _ = run_cli(capsys, *certify, "--family", "ghz", "--m", "2")
+    assert code == 0 and json.loads(out)["verdict"] == "issue"
+
+
 def test_config_entries_parse_as_flags(tmp_path, capsys):
     # a config entry is the flag it names: choices, types and unknown names
     # exit 2 as on the command line

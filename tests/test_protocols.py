@@ -453,12 +453,15 @@ def test_run_sampled_deterministic_for_fixed_seed():
 
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
-@pytest.mark.parametrize("theta", [0.0, 0.9, np.pi / 2, np.pi])
-def test_sampler_matches_per_row_oracle(protocol, theta):
+@pytest.mark.parametrize("params", [ghz(2, 0.0), ghz(2, 0.9), ghz(2, np.pi / 2), ghz(2, np.pi),
+                                    bloch(np.pi, 0.3), ghz(1, 0.9)],
+                         ids=["ghz2-0", "ghz2-0.9", "ghz2-pi/2", "ghz2-pi", "bloch-pi", "ghz1"])
+def test_sampler_matches_per_row_oracle(protocol, params):
     # the word sampler, at the thresholds run_sampled reads, against a plain
     # per-row walk of the bits on the float draws u = (w >> 11) * 2^-53;
-    # theta = 0 and pi have prefixes of probability zero
-    table = _trajectory_table(protocol, ghz(2, theta))
+    # ghz theta = 0 and pi have prefixes of probability zero, and pa1's
+    # a = 0 branches at bloch theta = pi have p_b = 1.9e-33
+    table = _trajectory_table(protocol, params)
     kinds = DRAW_KINDS[protocol]
     words = RngStream(19).uniform_block((10**4, len(kinds)))
     got = branch_indices(_sample_bits(table.thresholds, words))
@@ -468,6 +471,7 @@ def test_sampler_matches_per_row_oracle(protocol, theta):
 
 TOP = 2**64 - 1  # the largest word, u = 1 - 2^-53
 HIGH = range(2**64 - 2**12, 2**64)  # float64 spacing is 2^11 here: a float compare flips
+COIN = (2**63, True)
 
 
 def uniform(w):
@@ -475,75 +479,106 @@ def uniform(w):
     return (w >> 11) * 2.0**-53
 
 
+def cut_of(c):
+    """The (cut, below) pair of a measured bit with P(0) = c, in plain Python."""
+    return (0, True) if c == 1 else (math.ceil(c * 2**53) << 11, False)  # c * 2^53 is exact
+
+
+def pairs(thresholds):
+    """_bit_thresholds' pairs as plain (int, bool), after checking their types."""
+    assert all(cut.dtype == np.uint64 and type(below) is bool for cut, below in thresholds)
+    return [(int(cut), below) for cut, below in thresholds]
+
+
+def hand(*entries):
+    """Thresholds written by hand as (int, bool) pairs."""
+    return tuple((np.uint64(cut), below) for cut, below in entries)
+
+
 @pytest.mark.parametrize("c, k", [
     (0.0, 0), (1.0, 2**53), (5e-324, 1), (2.0**-53, 1),
     (np.nextafter(2.0**-53, 1.0), 2), (np.nextafter(1.0, 0.0), 2**53 - 1),
+    (np.nextafter(1.0, 2.0), 2**53 + 2),
 ])
 def test_bit_thresholds_are_exact_ceilings(c, k):
-    # W = ceil(c * 2^53) * 2^11, so a word w is at least W exactly when its
-    # float draw is at least c; a floor would read 5e-324 and
-    # nextafter(2^-53, 1) one numerator too low. c = 1 has W = 2^64, no
-    # uint64: its entry is None and reads 0 on every word
-    [threshold] = _bit_thresholds(("measure",), np.array([c, 1.0 - c]))
+    # cut = ceil(c * 2^53) * 2^11, so a word w is at least the cut exactly
+    # when its float draw is at least c; a floor would read 5e-324 and
+    # nextafter(2^-53, 1) one numerator too low. c = 1 would need 2^64, no
+    # uint64: it is (0, True), w < 0, which reads 0 on every word, as is a
+    # P(0) rounded one ulp above 1
+    thresholds = _bit_thresholds(("measure",), np.array([c, max(1.0 - c, 0.0)]))
     w_c = k << 11
-    if k == 2**53:
-        assert threshold == (None,)
-    else:
-        [t] = threshold
-        assert t.dtype == np.uint64 and int(t) == w_c
+    assert pairs(thresholds) == [(0, True) if k >= 2**53 else (w_c, False)]
     ws = [w for w in (0, w_c - 1, w_c, w_c + 1, w_c + 2**11, TOP) if 0 <= w <= TOP]
-    [bit] = _sample_bits((threshold,), np.array(ws, dtype=np.uint64)[:, None])
+    [bit] = _sample_bits(thresholds, np.array(ws, dtype=np.uint64)[:, None])
     assert bit.tolist() == [uniform(w) >= c for w in ws] == [w >= w_c for w in ws]
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0, 2.0**-53, np.nextafter(1.0, 0.0)])
-@pytest.mark.parametrize("at_prefix", [0, 1])
-def test_sampler_word_edges(c, at_prefix):
+def test_sampler_word_edges(c):
     # words at W - 1 and W and the top 2^12 words, where any float64
-    # promotion rounds words onto each other, read u >= c exactly: as a
-    # first bit with its one threshold, and as a second bit whose prefix
-    # at_prefix has P(0) = c and whose other prefix has P(0) = 1/2. A coin
+    # promotion rounds words onto each other, read u >= c exactly. A coin
     # reads w < 2^63 at 2^63 - 1, 2^63 and the top words alike.
     w_c = math.ceil(c * 2**53) << 11  # c * 2^53 is exact
     ws = [w for w in (w_c - 1, w_c) if 0 <= w <= TOP] + list(HIGH)
-    col = np.array(ws, dtype=np.uint64)
-    [first] = _bit_thresholds(("measure",), np.array([c, 1.0 - c]))
-    [bit] = _sample_bits((first,), col[:, None])
+    [bit] = _sample_bits(_bit_thresholds(("measure",), np.array([c, 1.0 - c])),
+                         np.array(ws, dtype=np.uint64)[:, None])
     assert bit.tolist() == [w >= w_c for w in ws] == [uniform(w) >= c for w in ws]
 
-    pair = [c / 2, (1.0 - c) / 2, 0.25, 0.25]  # P(second = 0 | first = 0) = c
-    probs = np.array(pair if at_prefix == 0 else pair[2:] + pair[:2])
-    thresholds = _bit_thresholds(("measure", "measure"), probs)
-    assert thresholds[0] == (np.uint64(2**63),) and len(thresholds[1]) == 2
-    for prefix_word in (0, TOP):  # first bit 0, then 1
-        words = np.stack([np.full(len(col), prefix_word, dtype=np.uint64), col], axis=1)
-        first_bits, second = _sample_bits(thresholds, words)
-        assert first_bits.tolist() == [prefix_word == TOP] * len(ws)
-        cut = w_c if int(prefix_word == TOP) == at_prefix else 2**63
-        assert second.tolist() == [w >= cut for w in ws]
-
     coins = [2**63 - 1, 2**63] + list(HIGH)
-    [coin] = _sample_bits((None,), np.array(coins, dtype=np.uint64)[:, None])
+    thresholds = _bit_thresholds(("coin",), np.array([0.5, 0.5]))
+    assert pairs(thresholds) == [COIN]
+    [coin] = _sample_bits(thresholds, np.array(coins, dtype=np.uint64)[:, None])
     assert coin.tolist() == [w < 2**63 for w in coins] == [uniform(w) < 0.5 for w in coins]
 
 
-def test_sampler_edges_by_hand():
-    # bits: measured, coin, measured; the last bit's thresholds are read by
-    # its prefix 2 * bit0 + bit1. A measured bit is 1 at w >= W, so a word
-    # equal to its threshold gives 1, W = 0 always gives 1 and None (c = 1)
-    # always 0; a coin is 1 at w < 2^63, so a word of exactly 2^63 gives 0.
-    q, h = 2**62, 2**63  # the first words of u = 1/4 and u = 1/2
-    thresholds = ((np.uint64(q),), None,
-                  (np.uint64(0), None, np.uint64(h), np.uint64(3 * q)))
-    rows = [
-        ([q, 3 * q, 0], 0b100),        # bit0 equal to its threshold; prefix 2: 0 < 2^63
-        ([1, h, 0], 0b001),            # coin at 2^63 gives 0; prefix 0, threshold 0
-        ([1, 1, TOP], 0b010),          # prefix 1, never 1: the largest word is 0
-        ([TOP, h - 1, 3 * q], 0b111),  # coin just below 2^63; prefix 3, word equals 3 * 2^62
-        ([q - 1, TOP, h], 0b001),      # just below 2^62; threshold 0
-        ([TOP, TOP, h - 1], 0b100),    # prefix 2, just below its threshold 2^63
-        ([TOP, TOP, h], 0b101),        # prefix 2, equal to its threshold 2^63
-    ]
+@pytest.mark.parametrize("c", [0.0, 2.0**-53, 1.0 - 2.0**-53, 1.0])
+def test_a_bit_that_depends_on_the_earlier_bits_is_refused(c):
+    # P(second = 0 | first = 0) = c and P(second = 0 | first = 1) = 1/2: no
+    # one cut serves both prefixes, so the table is refused, naming the bit
+    probs = np.array([c / 2, (1.0 - c) / 2, 0.25, 0.25])
+    with pytest.raises(ValueError, match=r"^announced bit 1 depends on the earlier bits; "
+                                         r"the sampler draws each bit against one threshold$"):
+        _bit_thresholds(("measure", "measure"), probs)
+
+
+@pytest.mark.parametrize("c", [0.0, 2.0**-53, 1.0 - 2.0**-53, 1.0])
+@pytest.mark.parametrize("first", [0, 1])
+def test_a_prefix_of_probability_zero_is_skipped(c, first):
+    # the first bit always reads first, so the other prefix is never drawn
+    # and the second bit takes the one cut of P(second = 0 | first) = c
+    pair = [c, 1.0 - c]
+    probs = np.array(pair + [0.0, 0.0] if first == 0 else [0.0, 0.0] + pair)
+    thresholds = _bit_thresholds(("measure", "measure"), probs)
+    assert pairs(thresholds) == [(0, True) if first == 0 else (0, False), cut_of(c)]
+    w_c = math.ceil(c * 2**53) << 11
+    ws = [0] + [w for w in (w_c - 1, w_c) if 0 <= w <= TOP] + list(HIGH)
+    for prefix_word in (0, TOP):  # the first bit's word does not matter
+        words = np.stack([np.full(len(ws), prefix_word, dtype=np.uint64),
+                          np.array(ws, dtype=np.uint64)], axis=1)
+        first_bits, second = _sample_bits(thresholds, words)
+        assert first_bits.tolist() == [bool(first)] * len(ws)
+        assert second.tolist() == [uniform(w) >= c for w in ws]
+
+
+@pytest.mark.parametrize("thresholds, rows", [
+    # bits: measured, coin, measured. A measured bit is 1 at w >= cut, so a
+    # word equal to its cut gives 1; a coin is 1 at w < 2^63, so a word of
+    # exactly 2^63 gives 0
+    (hand((2**62, False), COIN, (3 * 2**62, False)), [
+        ([2**62, 3 * 2**62, 3 * 2**62], 0b101),   # both measured words equal their cuts
+        ([2**62 - 1, 2**63, 3 * 2**62 - 1], 0b000),  # just below; coin at 2^63
+        ([TOP, 2**63 - 1, TOP], 0b111),           # coin just below 2^63
+        ([0, 0, 0], 0b010),
+    ]),
+    # cut 0 (c = 0) always gives 1, and (0, True) (c = 1) never does
+    (hand((0, False), COIN, (0, True)), [
+        ([0, 2**63, TOP], 0b100),
+        ([0, 2**63 - 1, 0], 0b110),
+        ([TOP, TOP, TOP], 0b100),
+    ]),
+], ids=["cuts", "always-never"])
+def test_sampler_edges_by_hand(thresholds, rows):
     words = np.array([row for row, _ in rows], dtype=np.uint64)
     bits = _sample_bits(thresholds, words)
     assert [bit.dtype for bit in bits] == [np.bool_] * 3
@@ -565,9 +600,39 @@ def test_trajectory_table_probabilities_are_non_negative(protocol, theta, family
     params = ghz(2, theta) if family is InputFamily.GHZ else bloch(theta, 0.3)
     table = _trajectory_table(protocol, params)
     assert np.all(table.probs >= 0.0)
-    for threshold in table.thresholds:  # P(0 | prefix) in [0, 1], as a word W = K * 2^11
-        for t in threshold or ():
-            assert t is None or (t.dtype == np.uint64 and int(t) % 2**11 == 0)
+    for cut, below in pairs(table.thresholds):  # P(0 | prefix) in [0, 1], as a cut K * 2^11
+        assert cut % 2**11 == 0
+        assert not below or cut in (0, 2**63)
+
+
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+@pytest.mark.parametrize("family, m, phi", [
+    (InputFamily.TRIVIAL, 1, 0.0), (InputFamily.TRIVIAL, 2, 0.0),
+    (InputFamily.BLOCH, 1, 0.0), (InputFamily.BLOCH, 1, 0.3),
+    (InputFamily.GHZ, 1, 0.0), (InputFamily.GHZ, 2, 0.0),
+    (InputFamily.GHZ, 3, 0.0), (InputFamily.GHZ, 4, 0.0),
+])
+def test_every_announced_bit_reads_one_cut(protocol, family, m, phi):
+    # at every target of the sweep, each measured bit's P(0 | earlier bits),
+    # summed in plain Python from the table's p_b, gives the same cut at
+    # every prefix of positive probability, and that cut is the table's
+    kinds = DRAW_KINDS[protocol]
+    n = len(kinds)
+    for theta in np.linspace(0.0, np.pi, 37).tolist():
+        table = _trajectory_table(protocol, ProtocolParams(m, family, theta, phi))
+        probs = table.probs.tolist()
+
+        def mass(prefix, length):
+            return sum(probs[i] for i in range(2**n) if i >> (n - length) == prefix)
+
+        for j, (kind, got) in enumerate(zip(kinds, pairs(table.thresholds))):
+            if kind == "coin":
+                assert got == COIN
+                continue
+            for prefix in range(2**j):
+                total = 1.0 if j == 0 else mass(prefix, j)
+                if total > 0:
+                    assert got == cut_of(mass(2 * prefix, j + 1) / total), (theta, j, prefix)
 
 
 def test_trajectory_table_builds_outputs_lazily():
