@@ -21,12 +21,12 @@ from telecert import (
 # A single qubit on the Bloch sphere, theta = 2pi/5, phi = 1.2
 params = ProtocolParams(m=1, family=InputFamily.BLOCH, theta=2 * np.pi / 5, phi=1.2)
 target = build_target(params)
-print("target amplitudes:", np.round(target.logical.amplitudes, 6))
+print("target amplitudes:", np.round(target.amplitudes, 6))
 
 print("\nEnumerating the four announcement branches of the honest run:")
 for branch in run_exact(ProtocolId.P0, params):
     ann = branch.announcement
-    same = np.allclose(branch.logical.matrix, to_density(target.logical).matrix, atol=1e-12)
+    same = np.allclose(branch.logical.matrix, to_density(target).matrix, atol=1e-12)
     print(f"  (a, b) = ({ann.a}, {ann.b})  probability = {branch.probability:.4f}"
           f"  delivered state equals target: {same}")
 

@@ -40,7 +40,6 @@ from .protocols import (
     InputFamily,
     ProtocolId,
     ProtocolParams,
-    TargetState,
     build_target,
     run_exact,
     run_sampled,

@@ -53,6 +53,9 @@ def _config_tokens(path: str) -> list[str]:
                 raise ValueError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip().lower().replace("_", "-"), value.strip()
+            if key == "config":
+                raise ValueError(f"{path}:{lineno}: a config file cannot name another, "
+                                 f"got config={value}")
             if key == "self" and value.lower() in ("0", "false", "no"):
                 continue  # --self takes no value; any other one is refused as --self=value
             truthy = key == "self" and value.lower() in ("1", "true", "yes")
@@ -145,6 +148,9 @@ def cmd_sweep(args) -> dict:
     protocol = ProtocolId.parse(args.protocol)
     for theta in (args.theta_start, args.theta_stop):  # before linspace, which warns on inf
         ProtocolParams(m=args.m, family=InputFamily.GHZ, theta=theta)
+    if not np.isfinite(args.theta_stop - args.theta_start):  # linspace would warn, then give nan
+        raise ValueError(f"the sweep from theta {args.theta_start} to {args.theta_stop} "
+                         "spans more than the largest float")
     if args.points < 1:
         raise ValueError(f"points must be >= 1, got {args.points}")
     grid = np.linspace(args.theta_start, args.theta_stop, args.points)

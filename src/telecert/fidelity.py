@@ -54,7 +54,6 @@ from .protocols import (
     InputFamily,
     ProtocolId,
     ProtocolParams,
-    TargetState,
     _averaged_branches,
     _compiled_branches,
     _sample_bits,
@@ -63,7 +62,7 @@ from .protocols import (
     run_exact,
     target_amplitudes,
 )
-from .statevec import ATOL_CONSTRUCT, expectation
+from .statevec import ATOL_CONSTRUCT, PureState, expectation
 
 
 @dataclass(frozen=True)
@@ -85,15 +84,16 @@ class FidelityReport:
     seed: int | None = None
 
 
-def threshold_fidelity(branches: list[Branch], target: TargetState,
+def threshold_fidelity(branches: list[Branch], target: PureState,
                        protocol: ProtocolId | None = None,
                        params: ProtocolParams | None = None) -> FidelityReport:
-    """Announcement-summed fidelity of an exact branch set against the target."""
-    m = target.m  # checked here: logical states cannot tell m = 3 from m = 4
-    if any(br.m != m for br in branches):
-        raise ValueError(f"dimension mismatch: branches are not at the target's m = {m}")
+    """Announcement-summed fidelity of an exact branch set against the logical target.
+
+    m is a label: branches at m = 3 score against the m = 4 target as the
+    m = 4 branches do. expectation refuses branches on another qubit count.
+    """
     per = [BranchFidelity(br.announcement, br.probability,
-                          0.0 if br.logical is None else expectation(br.logical, target.logical))
+                          0.0 if br.logical is None else expectation(br.logical, target))
            for br in branches]
     f_th = math.fsum(bf.probability * bf.fidelity for bf in per)
     if not -1e-12 <= f_th <= 1 + 1e-12:

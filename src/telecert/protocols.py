@@ -2,8 +2,8 @@
 
 No agent touches C's m - 1 ancillas, and every target has support only on
 |0..0> and |1..1>, so the ancillas act as one logical qubit and m is a label:
-a target is held only in its logical form (TargetState), and a run holds
-k = min(m, 2) share qubits plus D's pair, at most four, for any m:
+a target is its logical state on k = min(m, 2) qubits (build_target), and a
+run holds those k share qubits plus D's pair, at most four, for any m:
 
     0 .. k-2   C's ancillas, |0..0> and |1..1> read as |0> and |1> (none if m = 1)
     k-1        the share C hands to the sender A
@@ -152,6 +152,12 @@ class ProtocolParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        # an angle the family's target never reads is refused; -0.0 passes
+        for name, read in (("theta", self.family is not InputFamily.TRIVIAL),
+                           ("phi", self.family is InputFamily.BLOCH)):
+            if getattr(self, name) and not read:
+                raise ValueError(f"the {self.family.value} family reads no {name}, "
+                                 f"got {name} = {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -164,25 +170,17 @@ class Announcement:
 
 @dataclass(frozen=True)
 class Branch:
-    """One announcement outcome of an exact run at share size m.
+    """One announcement outcome of an exact run.
 
     logical is the normalized output on k = min(m, 2) qubits, C's logical
     ancilla (if m > 1) and B's qubit, or None on a zero-probability branch;
-    the m-qubit output it stands for is never built.
+    the m-qubit output it stands for is never built, and m is not kept: the
+    branches at m = 2, 3, ... are equal.
     """
 
     announcement: Announcement
     probability: float
     logical: DensityOperator | None
-    m: int
-
-
-@dataclass(frozen=True)
-class TargetState:
-    """C's target at share size m, held only as its logical form on k = min(m, 2) qubits."""
-
-    m: int
-    logical: PureState
 
 
 def target_amplitudes(family: InputFamily, theta, phi=0.0) -> np.ndarray:
@@ -211,7 +209,7 @@ def _logical_state(k: int, pair) -> PureState:
     return PureState(k, amps)
 
 
-def build_target(params: ProtocolParams) -> TargetState:
+def build_target(params: ProtocolParams) -> PureState:
     """The state C prepares and later compares against, as its logical form at any m.
 
     That is target_amplitudes on |0..0> and |1..1>, on min(m, 2) qubits: for
@@ -220,7 +218,7 @@ def build_target(params: ProtocolParams) -> TargetState:
     psi = _logical_state(min(params.m, 2),
                          target_amplitudes(params.family, params.theta, params.phi))
     psi.require_normalized()
-    return TargetState(params.m, psi)
+    return psi
 
 
 def _with_ebit(psi: PureState) -> PureState:
@@ -307,14 +305,10 @@ def _density(comps: list[PureState]) -> np.ndarray:
     return rho
 
 
-def _output(comps: list[PureState] | None) -> DensityOperator | None:
-    return None if comps is None else DensityOperator(comps[0].num_qubits, _density(comps))
-
-
-def _branches(protocol: ProtocolId, psi: PureState
-              ) -> list[tuple[Announcement, float, DensityOperator | None]]:
-    """_run's branches on psi as (announcement, probability, output), in draw order."""
-    return [(Announcement(bits["a"], bits.get("b")), p, _output(comps))
+def _branches(protocol: ProtocolId, psi: PureState) -> list[Branch]:
+    """_run's branches on psi, in draw order."""
+    return [Branch(Announcement(bits["a"], bits.get("b")), p,
+                   None if comps is None else DensityOperator(comps[0].num_qubits, _density(comps)))
             for bits, p, comps in _run(protocol, psi)]
 
 
@@ -327,8 +321,7 @@ def run_exact(protocol: ProtocolId, params: ProtocolParams) -> list[Branch]:
     bits of i, first announced bit highest, the order _bit_thresholds and
     _sample_bits index by. Probabilities sum to one.
     """
-    return [Branch(ann, p, out, params.m)
-            for ann, p, out in _branches(protocol, build_target(params).logical)]
+    return _branches(protocol, build_target(params))
 
 
 @lru_cache(maxsize=10)
@@ -352,8 +345,9 @@ def _branch_maps(protocol: ProtocolId, k: int) -> tuple[tuple[Announcement, ...]
     ends = [0, 2**k - 1]  # |0_L> = |0..0>, |1_L> = |1..1>
     s = 1 / math.sqrt(2)
     branches = _branches(protocol, _logical_state(k + 1, (s, s)))
-    choi = np.array([np.zeros((2**(k + 1),) * 2) if out is None else p * out.matrix
-                     for _, p, out in branches])  # a zero-probability branch maps to zero
+    choi = np.array([np.zeros((2**(k + 1),) * 2) if br.logical is None
+                     else br.probability * br.logical.matrix
+                     for br in branches])  # a zero-probability branch maps to zero
     raw = 2 * choi.reshape(-1, 2, 2**k, 2, 2**k).transpose(0, 1, 3, 2, 4)
     e = np.round(256 * raw) / 256  # real and imaginary parts alike
     off = np.abs(raw - e).max()
@@ -362,7 +356,7 @@ def _branch_maps(protocol: ProtocolId, k: int) -> tuple[tuple[Announcement, ...]
     r = np.ascontiguousarray(e[..., ends, :][..., ends])
     t = np.trace(e, axis1=3, axis2=4)
     e.flags.writeable = r.flags.writeable = t.flags.writeable = False
-    return tuple(ann for ann, _, _ in branches), e, r, t
+    return tuple(br.announcement for br in branches), e, r, t
 
 
 def _checked_probabilities(p: np.ndarray) -> np.ndarray:

@@ -725,6 +725,17 @@ SELF_TABULATED = ("error: --self compares against the computed threshold; "
     (("sweep", "--points", "0"), None, None, "error: points must be >= 1, got 0\n"),
     (("sweep", "--points", "0", "--format", "csv"), None, None,
      "error: points must be >= 1, got 0\n"),
+    (("sweep", "--protocol", "pa1", "--m", "2", "--theta-start", "1e308", "--theta-stop",
+      "-1e308", "--points", "3"), None, None,
+     "error: the sweep from theta 1e+308 to -1e+308 spans more than the largest float\n"),
+    (("run", "--protocol", "pa1", "--m", "2", "--family", "ghz", "--theta", "0.5",
+      "--phi", "0.7"), None, None, "error: the ghz family reads no phi, got phi = 0.7\n"),
+    (("run", "--family", "trivial", "--theta", "2", "--phi", "1"), None, None,
+     "error: the trivial family reads no theta, got theta = 2.0\n"),
+    (("enumerate", "--family", "trivial", "--phi", "1"), None, None,
+     "error: the trivial family reads no phi, got phi = 1.0\n"),
+    (("run", "--m", "2", "--family", "ghz"), None, "theta=0.5\nphi=-1e-300\n",
+     "error: the ghz family reads no phi, got phi = -1e-300\n"),
     ((*SELF, "--observed", "0.99"), None, None, SELF_OBSERVED),
     (SELF, None, "observed=0.99\n", SELF_OBSERVED),
     (SELF[:-1], None, "self=true\nobserved=0.99\n", SELF_OBSERVED),
@@ -733,7 +744,8 @@ SELF_TABULATED = ("error: --self compares against the computed threshold; "
 ], ids=["seed-flag", "seed-env", "seed-env-abc", "seed-env-1.5", "seed-config", "gauss-abc",
         "gauss-1.5", "gauss-empty", "kind-unknown", "exact-resolution", "gauss-huge",
         "grid-huge", "points-negative",
-        "points-zero", "points-zero-csv", "self-observed", "self-observed-config",
+        "points-zero", "points-zero-csv", "sweep-span-overflows", "ghz-phi", "trivial-theta",
+        "trivial-phi", "ghz-phi-config", "self-observed", "self-observed-config",
         "self-config-observed", "self-tabulated", "self-tabulated-config"])
 def test_bad_values_exit_2_naming_the_input(tmp_path, capsys, monkeypatch, argv, env, config,
                                             want):
@@ -772,6 +784,14 @@ def test_spaced_negative_value_parses_as_its_equals_form(capsys, argv):
     assert outcome(argv) == outcome(joined)
     if argv[-1] == "-inf":
         assert outcome(argv) == (2, "", "error: theta must be finite, got -inf\n")
+
+
+def test_config_file_naming_another_is_refused(tmp_path, capsys):
+    # the named file would never be read, so the key is refused, not dropped
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("# chained\nconfig=b.cfg\n")
+    assert run_cli(capsys, "run", "--config", str(cfg)) == (
+        2, "", f"error: {cfg}:2: a config file cannot name another, got config=b.cfg\n")
 
 
 def test_missing_config_file(capsys):

@@ -66,15 +66,27 @@ def test_exact_thresholds_key_values():
     assert exact_f_th(ProtocolId.PB, ghz(2, np.pi / 2)) == pytest.approx(0.25, abs=1e-12)
 
 
+def _branch_bits(branches):
+    return [(br.announcement, br.probability,
+             None if br.logical is None else br.logical.matrix.tobytes()) for br in branches]
+
+
 def test_threshold_fidelity_dimension_mismatch():
-    branches = run_exact(ProtocolId.P0, ghz(2, 0.5))
-    wrong_target = build_target(ghz(3, 0.5))
-    with pytest.raises(ValueError):
-        threshold_fidelity(branches, wrong_target)
-    # both logical targets are normalized here; only the m check tells them apart
-    branches = run_exact(ProtocolId.P0, ghz(3, 0.0))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        threshold_fidelity(branches, build_target(ghz(4, 0.0)))
+    # expectation refuses branches on another qubit count: m = 1 has k = 1
+    branches = run_exact(ProtocolId.P0, ghz(1, 0.5))
+    with pytest.raises(ValueError, match="^dimension mismatch: rho has 1 qubits, psi has 2$"):
+        threshold_fidelity(branches, build_target(ghz(2, 0.5)))
+    for protocol in ProtocolId:
+        for theta in (0.0, 0.5):  # pa1 has zero-probability branches at theta = 0
+            # m is a label: m = 2, 3 and 10**6 give bitwise-equal branches
+            want = _branch_bits(run_exact(protocol, ghz(2, theta)))
+            for m in (3, 10**6):
+                assert _branch_bits(run_exact(protocol, ghz(m, theta))) == want
+            # so m = 3 branches score against the m = 4 target as the m = 4 ones do
+            params = ghz(4, theta)
+            got = threshold_fidelity(run_exact(protocol, ghz(3, theta)), build_target(params),
+                                     protocol, params)
+            assert got == exact_report(protocol, params)
 
 
 def test_theta_sweep_examples():

@@ -9,6 +9,7 @@ from telecert.protocols import (
     ANNOUNCING,
     DRAW_KINDS,
     PROTOCOL_OPS,
+    Branch,
     InputFamily,
     ProtocolId,
     ProtocolParams,
@@ -42,15 +43,16 @@ def bloch(theta, phi):
 
 
 def test_build_target_examples():
+    # the logical target itself, on min(m, 2) qubits: m = 3 is a label
     got = build_target(ProtocolParams(m=3, family=InputFamily.TRIVIAL))
-    assert got.m == 3
-    np.testing.assert_allclose(got.logical.amplitudes, np.eye(4)[0], atol=1e-15)
+    assert got.num_qubits == 2
+    np.testing.assert_allclose(got.amplitudes, np.eye(4)[0], atol=1e-15)
 
     got = build_target(ghz(2, np.pi / 2))
-    np.testing.assert_allclose(got.logical.amplitudes, [1 / SQ2, 0, 0, 1 / SQ2], atol=1e-15)
+    np.testing.assert_allclose(got.amplitudes, [1 / SQ2, 0, 0, 1 / SQ2], atol=1e-15)
 
     got = build_target(bloch(np.pi / 2, np.pi))
-    np.testing.assert_allclose(got.logical.amplitudes, [1 / SQ2, -1 / SQ2], atol=1e-12)
+    np.testing.assert_allclose(got.amplitudes, [1 / SQ2, -1 / SQ2], atol=1e-12)
 
     # the logical amplitudes are ghz_rotation's action on |0..0> at |0..0 x>
     # and |1..1 x>, and the rest of that column is 0
@@ -58,19 +60,23 @@ def test_build_target_examples():
         for theta in (0.0, 0.7, np.pi / 2, 2.9):
             column = gates.ghz_rotation(m, theta).entries[:, 0]
             support = sorted({0, 1, 2**m - 2, 2**m - 1})
-            np.testing.assert_allclose(build_target(ghz(m, theta)).logical.amplitudes,
+            np.testing.assert_allclose(build_target(ghz(m, theta)).amplitudes,
                                        column[support], atol=1e-15)
             np.testing.assert_allclose(np.delete(column, support), 0, atol=1e-15)
 
 
 def test_target_amplitudes_grid_and_non_finite_angles():
-    # one call over a grid writes each point's pair, bitwise, as build_target does
+    # one call over a grid writes each point's pair, bitwise, as build_target
+    # does; the grid writer ignores the angles a family does not read, which
+    # per-point params refuse, so those are built from the read angles only
     thetas, phis = np.array([0.0, 1.0, -7.0, 9.5]), np.array([0.5, 2.0, -3.0, 0.0])
     for family in InputFamily:
         got = protocols.target_amplitudes(family, thetas, phis)
         for theta, phi, pair in zip(thetas, phis, got):
-            want = build_target(ProtocolParams(m=1, family=family, theta=theta, phi=phi))
-            assert pair.tolist() == want.logical.amplitudes.tolist()
+            read_theta = 0.0 if family is InputFamily.TRIVIAL else theta
+            read_phi = phi if family is InputFamily.BLOCH else 0.0
+            want = build_target(ProtocolParams(m=1, family=family, theta=read_theta, phi=read_phi))
+            assert pair.tolist() == want.amplitudes.tolist()
     # ProtocolParams's message, also where a grid bypasses ProtocolParams
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=f"^theta must be finite, got {bad}$"):
@@ -85,6 +91,16 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ProtocolParams(m=0)
     assert ProtocolParams(m=30, family=InputFamily.GHZ).m == 30  # m is a label, never refused
+    # an angle the family does not read is refused; -0.0 is no angle
+    for family, name in ((InputFamily.GHZ, "phi"), (InputFamily.TRIVIAL, "theta"),
+                         (InputFamily.TRIVIAL, "phi")):
+        with pytest.raises(ValueError, match=f"^the {family.value} family reads no {name}, "
+                                             f"got {name} = 0.25$"):
+            ProtocolParams(m=2, family=family, **{name: 0.25})
+        ProtocolParams(m=2, family=family, **{name: -0.0})
+    # finiteness is checked first
+    with pytest.raises(ValueError, match="^phi must be finite, got nan$"):
+        ProtocolParams(m=2, family=InputFamily.TRIVIAL, theta=1.0, phi=math.nan)
     with pytest.raises(ValueError):
         ProtocolId.parse("p7")
 
@@ -111,7 +127,7 @@ def test_enum_parse_messages():
 def test_p0_trivial_m1_four_equal_branches():
     branches = run_exact(ProtocolId.P0, ProtocolParams(m=1, family=InputFamily.TRIVIAL))
     assert len(branches) == 4
-    target = to_density(build_target(ProtocolParams(m=1, family=InputFamily.TRIVIAL)).logical)
+    target = to_density(build_target(ProtocolParams(m=1, family=InputFamily.TRIVIAL)))
     for br in branches:
         assert br.probability == pytest.approx(0.25, abs=1e-12)
         np.testing.assert_allclose(br.logical.matrix, target.matrix, atol=1e-12)
@@ -140,7 +156,7 @@ def test_announcement_carries_no_information_about_the_target(protocol, probabil
     *[bloch(t, p) for t in np.linspace(0, np.pi, 20) for p in np.linspace(0, 2 * np.pi, 20)],
 ])
 def test_p0_is_exact_teleportation(params):
-    target = to_density(build_target(params).logical)
+    target = to_density(build_target(params))
     branches = run_exact(ProtocolId.P0, params)
     for br in branches:
         np.testing.assert_allclose(br.logical.matrix, target.matrix, atol=1e-12)
@@ -268,7 +284,7 @@ def test_pa1_trash_equals_measure_and_discard():
 
     params = ghz(2, 1.3)
     m = params.m
-    state = _with_ebit(build_target(params).logical)  # after C's and D's steps
+    state = _with_ebit(build_target(params))  # after C's and D's steps
     expected = {(br.announcement.a, br.announcement.b): br
                 for br in run_exact(ProtocolId.PA1, params)}
     for oa in measure_branches(state, m - 1):
@@ -285,7 +301,7 @@ def test_pa1_trash_equals_measure_and_discard():
 
 
 def test_run_sampled_p0_and_pa2_outputs():
-    target = to_density(build_target(ProtocolParams(m=1, family=InputFamily.TRIVIAL)).logical)
+    target = to_density(build_target(ProtocolParams(m=1, family=InputFamily.TRIVIAL)))
     for seed in (0, 1, 2, 99):
         ann, rho = run_sampled(ProtocolId.P0, ProtocolParams(m=1, family=InputFamily.TRIVIAL),
                                RngStream(seed))
@@ -370,8 +386,8 @@ def test_branch_maps_match_the_interpreter_and_lie_on_the_grid(protocol, k):
         pair /= np.linalg.norm(pair)
         got = np.einsum("i,j,bijrc->brc", pair, pair.conj(), e)
         branches = protocols._branches(protocol, protocols._logical_state(k, pair))
-        want = [np.zeros((2**k, 2**k)) if out is None else p * out.matrix
-                for _, p, out in branches]
+        want = [np.zeros((2**k, 2**k)) if br.logical is None
+                else br.probability * br.logical.matrix for br in branches]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
     # every entry of 256 E is a Gaussian integer, exactly
     grid = 256 * e
@@ -383,7 +399,8 @@ def test_branch_maps_off_the_grid_raise(monkeypatch):
     branches = protocols._branches
 
     def perturbed(protocol, psi):
-        return [(ann, p + 1e-9, out) for ann, p, out in branches(protocol, psi)]
+        return [Branch(br.announcement, br.probability + 1e-9, br.logical)
+                for br in branches(protocol, psi)]
 
     monkeypatch.setattr(protocols, "_branches", perturbed)
     protocols._branch_maps.cache_clear()
@@ -618,7 +635,9 @@ def test_every_announced_bit_reads_one_cut(protocol, family, m, phi):
     # every prefix of positive probability, and that cut is the table's
     kinds = DRAW_KINDS[protocol]
     n = len(kinds)
-    for theta in np.linspace(0.0, np.pi, 37).tolist():
+    # the trivial family reads no theta: its one target is theta = 0
+    thetas = [0.0] if family is InputFamily.TRIVIAL else np.linspace(0.0, np.pi, 37).tolist()
+    for theta in thetas:
         table = _trajectory_table(protocol, ProtocolParams(m, family, theta, phi))
         probs = table.probs.tolist()
 

@@ -8,7 +8,7 @@ PUBLIC_NAMES = [
     "Adversary", "Announcement", "BlochAverageReport", "Branch", "BranchFidelity",
     "CertificateDecision", "Criterion", "DensityOperator", "FidelityReport",
     "InputFamily", "MeasurementOutcome", "ProtocolId", "ProtocolParams", "PureState",
-    "RngStream", "TargetState", "ThresholdSource", "UnitaryMatrix", "apply_unitary",
+    "RngStream", "ThresholdSource", "UnitaryMatrix", "apply_unitary",
     "basis_state", "bloch_average", "build_target", "cnot", "decide",
     "entanglement_gadget", "entanglement_gadget_inverse", "exact_report",
     "expectation", "ghz_rotation", "hadamard", "measure_branches",
