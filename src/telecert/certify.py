@@ -17,8 +17,9 @@ The two sources agree except for the B-cheat theta average, where the
 tabulated 3/16 is half the enumerated optimum 3/8 (the 3/16 descends from a
 branch bookkeeping convention whose probabilities sum to 1/2; the enumerated
 value conserves probability). threshold_table reports both with provenance.
-Both sources answer the same (model, criterion) pairs, the keys of
-_TABULATED, and refuse every other pair with one message.
+Models, criteria and families are declared once, here: the enums, _MODELS,
+_FAMILY, and _TABULATED, whose keys are the pairs both sources answer; every
+other pair is refused with one message. The CLI's choices and help read the enums.
 select_threshold names the bar of an (adversary, criterion, m, source) and
 decide compares an observation with it; --self observes the computed bar.
 """
@@ -73,17 +74,18 @@ class CertificateDecision:
     comparison: str = COMPARISON
 
 
-_CERT_ID = {
-    Adversary.HONEST: 1,
-    Adversary.CHEATING_A: 3,
-    Adversary.CHEATING_B: 4,
-    Adversary.CHEATING_AB: 5,
+# Per adversary: its certificate number and the protocols its computed bar enumerates.
+_MODELS = {
+    Adversary.HONEST: (1, (ProtocolId.P0,)),
+    Adversary.CHEATING_A: (3, (ProtocolId.PA1, ProtocolId.PA2)),
+    Adversary.CHEATING_B: (4, (ProtocolId.PB,)),
+    Adversary.CHEATING_AB: (5, (ProtocolId.PAB,)),
 }
 
-_CHEAT_PROTOCOLS = {
-    Adversary.CHEATING_A: (ProtocolId.PA1, ProtocolId.PA2),
-    Adversary.CHEATING_B: (ProtocolId.PB,),
-    Adversary.CHEATING_AB: (ProtocolId.PAB,),
+# The one family an averaged criterion reads, as its refusal names it; pointwise reads any.
+_FAMILY = {
+    Criterion.THETA_AVERAGE: (InputFamily.GHZ, "the ghz family"),
+    Criterion.BLOCH_POSTSELECTED: (InputFamily.BLOCH, "the bloch family (m=1)"),
 }
 
 # The defined (model, criterion) pairs, for both sources, and their tabulated values.
@@ -116,13 +118,10 @@ def _undefined(adversary: Adversary, criterion: Criterion,
     """Why no threshold applies: the pair, then (when given) the family; None when one does."""
     if (adversary, criterion) not in _TABULATED:
         return f"criterion {criterion.value} is not defined for {adversary.value}"
-    if family is None:
+    if family is None or criterion not in _FAMILY:
         return None
-    if criterion is Criterion.THETA_AVERAGE and family is not InputFamily.GHZ:
-        return "theta_average criterion applies to the ghz family"
-    if criterion is Criterion.BLOCH_POSTSELECTED and family is not InputFamily.BLOCH:
-        return "bloch_postselected criterion applies to the bloch family (m=1)"
-    return None
+    required, name = _FAMILY[criterion]
+    return None if family is required else f"{criterion.value} criterion applies to {name}"
 
 
 @lru_cache(maxsize=256)
@@ -134,7 +133,7 @@ def _computed_threshold(adversary: Adversary, criterion: Criterion, m: int) -> t
     """
     if adversary is Adversary.HONEST:  # pointwise, its one defined criterion
         return 1.0, "computed: honest protocol fidelity (constant 1)"
-    protocols = _CHEAT_PROTOCOLS[adversary]
+    protocols = _MODELS[adversary][1]
     names = "/".join(p.value for p in protocols)
     if criterion is Criterion.POINTWISE:
         grid = np.linspace(0.0, np.pi, 33)
@@ -173,7 +172,7 @@ def decide(observed: float, adversary: Adversary, m: int = 1,
         raise ValueError(reason)
     threshold, provenance = select_threshold(adversary, criterion, m, source)
     verdict = "issue" if observed > threshold + ATOL_CONSTRUCT else "deny"
-    return CertificateDecision(_CERT_ID[adversary], observed, threshold,
+    return CertificateDecision(_MODELS[adversary][0], observed, threshold,
                                verdict, provenance, criterion.value)
 
 
@@ -181,18 +180,11 @@ def threshold_table(m: int, family: InputFamily) -> list[dict]:
     """All applicable (model, criterion, threshold) rows with provenance."""
     ProtocolParams(m=m, family=family)  # raises for a pair no run accepts
     rows: list[dict] = []
-    for adversary in Adversary:
-        for criterion in Criterion:
-            if _undefined(adversary, criterion, family) is not None:
-                continue
+    for adversary, criterion in _TABULATED:  # in adversary x criterion order
+        if _undefined(adversary, criterion, family) is None:
             for source in ThresholdSource:
                 value, provenance = select_threshold(adversary, criterion, m, source)
-                rows.append({
-                    "model": adversary.value,
-                    "certificate": _CERT_ID[adversary],
-                    "criterion": criterion.value,
-                    "source": source.value,
-                    "threshold": value,
-                    "provenance": provenance,
-                })
+                rows.append({"model": adversary.value, "certificate": _MODELS[adversary][0],
+                             "criterion": criterion.value, "source": source.value,
+                             "threshold": value, "provenance": provenance})
     return rows

@@ -12,7 +12,8 @@ hold none and exit 2 under --format csv).
 Output is deterministic for a fixed (config, seed): no timestamps, canonical
 JSON key order, full-precision floats.
 
-Exit codes: 0 success, 2 configuration error, 3 memory exhausted. m is a
+Exit codes: 0 success, 2 configuration error, 3 memory exhausted, each
+refusal (argparse's own too, through _Parser) one stderr line. m is a
 label, not a register size: every command accepts any m >= 1.
 """
 from __future__ import annotations
@@ -43,29 +44,40 @@ _NEGATIVE_NUMBER = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 def _config_tokens(path: str) -> list[str]:
     """A config file's KEY=VALUE lines as --key=value flags; self=true is --self."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:  # a ValueError, but one that would not name the file
+        raise ValueError(f"{path}: {exc}") from None
     tokens = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip().lower().replace("_", "-"), value.strip()
-            if key == "config":
-                raise ValueError(f"{path}:{lineno}: a config file cannot name another, "
-                                 f"got config={value}")
-            if key == "self" and value.lower() in ("0", "false", "no"):
-                continue  # --self takes no value; any other one is refused as --self=value
-            truthy = key == "self" and value.lower() in ("1", "true", "yes")
-            tokens.append("--self" if truthy else f"--{key}={value}")
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip().lower().replace("_", "-"), value.strip()
+        if key == "config":
+            raise ValueError(f"{path}:{lineno}: a config file cannot name another, "
+                             f"got config={value}")
+        if key == "self" and value.lower() in ("0", "false", "no"):
+            continue  # --self takes no value; any other one is refused as --self=value
+        truthy = key == "self" and value.lower() in ("1", "true", "yes")
+        tokens.append("--self" if truthy else f"--{key}={value}")
     return tokens
+
+
+class _Parser(argparse.ArgumentParser):
+    """Rejections raise ValueError, printed by main as one line; subparsers share the class."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """Parse argv with the --config file's flags placed right after the subcommand."""
-    config = argparse.ArgumentParser(add_help=False)
+    config = _Parser(add_help=False)
     config.add_argument("--config", nargs="?")  # a missing value is the full parse's error
     path = config.parse_known_args(argv)[0].config
     if path:
@@ -235,70 +247,64 @@ def cmd_thresholds(args) -> dict:
     return {"m": args.m, "family": args.family, "thresholds": rows}
 
 
-def _add_common(sub, protocol=True, angles=True):
+def _choices(enum) -> str:
+    return " | ".join(e.value for e in enum)
+
+
+def _add_command(subs, name: str, func, summary: str, protocol=True, family=True, angles=True):
+    """Subcommand name, running func(args), with the flags the commands share."""
+    sub = subs.add_parser(name, help=summary)
+    sub.set_defaults(func=func)
     sub._negative_number_matcher = _NEGATIVE_NUMBER  # argparse's private hook; see above
     sub.add_argument("--config", help="config file with KEY=VALUE lines (flags override)")
     sub.add_argument("--format", default="json", choices=["json", "csv", "table"])
     sub.add_argument("--m", type=int, default=1, help="teleported-share register size")
     if protocol:
-        sub.add_argument("--protocol", default="p0", help="p0 | pa1 | pa2 | pb | pab")
+        sub.add_argument("--protocol", default="p0", help=_choices(ProtocolId))
+    if family:
+        sub.add_argument("--family", default="bloch", help=_choices(InputFamily))
     if angles:
-        sub.add_argument("--family", default="bloch", help="trivial | ghz | bloch")
         sub.add_argument("--theta", type=float, default=0.0, help="polar angle, radians")
         sub.add_argument("--phi", type=float, default=0.0, help="azimuthal angle, radians")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="telecert",
-                                     description="Adversarial teleportation simulator and certifier")
+    parser = _Parser(prog="telecert",
+                     description="Adversarial teleportation simulator and certifier")
     parser.add_argument("--version", action="version", version=f"telecert {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_run = subs.add_parser("run", help="run one protocol and report f_th")
-    _add_common(p_run)
+    p_run = _add_command(subs, "run", cmd_run, "run one protocol and report f_th")
     p_run.add_argument("--mode", default="exact", choices=["exact", "monte_carlo"])
     p_run.add_argument("--shots", type=int, default=100000)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--threads", type=int, default=1,
                        help="Monte Carlo workers, at most one per chunk and per CPU; "
                             "results do not depend on it")
-    p_run.set_defaults(func=cmd_run)
 
-    p_sweep = subs.add_parser("sweep", help="exact f_th over a theta grid (ghz family)")
-    _add_common(p_sweep, angles=False)
+    p_sweep = _add_command(subs, "sweep", cmd_sweep, "exact f_th over a theta grid (ghz family)",
+                           family=False, angles=False)
     p_sweep.add_argument("--theta-start", type=float, default=0.0)
     p_sweep.add_argument("--theta-stop", type=float, default=3.141592653589793)
     p_sweep.add_argument("--points", type=int, default=21)
-    p_sweep.set_defaults(func=cmd_sweep)
 
-    p_avg = subs.add_parser("average", help="theta-averaged f_th (ghz family)")
-    _add_common(p_avg, angles=False)
-    p_avg.add_argument("--quadrature", default="exact",
-                       help="exact (the default) or gauss:<n>")
-    p_avg.set_defaults(func=cmd_average)
+    p_avg = _add_command(subs, "average", cmd_average, "theta-averaged f_th (ghz family)",
+                         family=False, angles=False)
+    p_avg.add_argument("--quadrature", default="exact", help="exact (the default) or gauss:<n>")
 
-    p_cert = subs.add_parser("certify", help="issue or deny a certificate")
-    _add_common(p_cert, protocol=False, angles=False)
-    p_cert.add_argument("--family", default="bloch", help="trivial | ghz | bloch")
-    p_cert.add_argument("--model", required=True,
-                        help="honest | cheating_a | cheating_b | cheating_ab")
-    p_cert.add_argument("--criterion", default="pointwise",
-                        help="pointwise | theta_average | bloch_postselected")
+    p_cert = _add_command(subs, "certify", cmd_certify, "issue or deny a certificate",
+                          protocol=False, angles=False)
+    p_cert.add_argument("--model", required=True, help=_choices(Adversary))
+    p_cert.add_argument("--criterion", default="pointwise", help=_choices(Criterion))
     p_cert.add_argument("--observed", type=float, default=None)
-    p_cert.add_argument("--threshold-source", choices=["tabulated", "computed"])
+    p_cert.add_argument("--threshold-source", choices=[s.value for s in ThresholdSource])
     p_cert.add_argument("--self", dest="self_evaluate", action="store_true",
                         help="evaluate the model's own protocol optimum")
-    p_cert.set_defaults(func=cmd_certify)
 
-    p_enum = subs.add_parser("enumerate", help="dump the exact branch set")
-    _add_common(p_enum)
-    p_enum.set_defaults(func=cmd_enumerate)
-
-    p_thr = subs.add_parser("thresholds", help="dump the certification threshold table")
-    _add_common(p_thr, protocol=False, angles=False)
-    p_thr.add_argument("--family", default="bloch", help="trivial | ghz | bloch")
-    p_thr.set_defaults(func=cmd_thresholds)
-
+    _add_command(subs, "enumerate", cmd_enumerate, "dump the exact branch set")
+    _add_command(subs, "thresholds", cmd_thresholds, "dump the certification threshold table",
+                 protocol=False, angles=False)
     return parser
 
 

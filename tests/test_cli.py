@@ -189,6 +189,135 @@ def test_thresholds_table(capsys):
     assert all(r["provenance"] for r in rows)
 
 
+# The averaged rows, both sources, the tabulated 3/16 and the row order
+# (adversary, then criterion, then source) at m = 2.
+PINNED_THRESHOLDS_M2_GHZ = """\
+{
+  "family": "ghz",
+  "m": 2,
+  "thresholds": [
+    {
+      "certificate": 1,
+      "criterion": "pointwise",
+      "model": "honest",
+      "provenance": "honest-protocol bound: exact teleportation has fidelity 1",
+      "source": "tabulated",
+      "threshold": 1.0
+    },
+    {
+      "certificate": 1,
+      "criterion": "pointwise",
+      "model": "honest",
+      "provenance": "computed: honest protocol fidelity (constant 1)",
+      "source": "computed",
+      "threshold": 1.0
+    },
+    {
+      "certificate": 3,
+      "criterion": "pointwise",
+      "model": "cheating_a",
+      "provenance": "A-cheat optimum 1/2 (isolated qubit; equals the theta=0 maximum of the curve 1/2 - sin^2(theta)/4)",
+      "source": "tabulated",
+      "threshold": 0.5
+    },
+    {
+      "certificate": 3,
+      "criterion": "pointwise",
+      "model": "cheating_a",
+      "provenance": "computed: max over theta of enumerated f_th(pa1/pa2), m=2",
+      "source": "computed",
+      "threshold": 0.5
+    },
+    {
+      "certificate": 3,
+      "criterion": "theta_average",
+      "model": "cheating_a",
+      "provenance": "uniform-theta average 3/8 of the A-cheat curve 1/2 - sin^2(theta)/4",
+      "source": "tabulated",
+      "threshold": 0.375
+    },
+    {
+      "certificate": 3,
+      "criterion": "theta_average",
+      "model": "cheating_a",
+      "provenance": "computed: uniform-theta average of enumerated f_th(pa1/pa2), m=2",
+      "source": "computed",
+      "threshold": 0.375
+    },
+    {
+      "certificate": 4,
+      "criterion": "pointwise",
+      "model": "cheating_b",
+      "provenance": "B-cheat bound 1/2 (value of the trivial/isolated case)",
+      "source": "tabulated",
+      "threshold": 0.5
+    },
+    {
+      "certificate": 4,
+      "criterion": "pointwise",
+      "model": "cheating_b",
+      "provenance": "computed: max over theta of enumerated f_th(pb), m=2",
+      "source": "computed",
+      "threshold": 0.5
+    },
+    {
+      "certificate": 4,
+      "criterion": "theta_average",
+      "model": "cheating_b",
+      "provenance": "tabulated B-cheat average 3/16, from the curve 1/4 - sin^2(theta)/8; exact enumeration gives 3/8, see the computed source",
+      "source": "tabulated",
+      "threshold": 0.1875
+    },
+    {
+      "certificate": 4,
+      "criterion": "theta_average",
+      "model": "cheating_b",
+      "provenance": "computed: uniform-theta average of enumerated f_th(pb), m=2",
+      "source": "computed",
+      "threshold": 0.375
+    },
+    {
+      "certificate": 5,
+      "criterion": "pointwise",
+      "model": "cheating_ab",
+      "provenance": "AB-cheat optimum 1/2 (isolated qubit and theta=0 maximum)",
+      "source": "tabulated",
+      "threshold": 0.5
+    },
+    {
+      "certificate": 5,
+      "criterion": "pointwise",
+      "model": "cheating_ab",
+      "provenance": "computed: max over theta of enumerated f_th(pab), m=2",
+      "source": "computed",
+      "threshold": 0.5
+    },
+    {
+      "certificate": 5,
+      "criterion": "theta_average",
+      "model": "cheating_ab",
+      "provenance": "uniform-theta average 3/8 of the AB-cheat curve 1/2 - sin^2(theta)/4",
+      "source": "tabulated",
+      "threshold": 0.375
+    },
+    {
+      "certificate": 5,
+      "criterion": "theta_average",
+      "model": "cheating_ab",
+      "provenance": "computed: uniform-theta average of enumerated f_th(pab), m=2",
+      "source": "computed",
+      "threshold": 0.375
+    }
+  ]
+}
+"""
+
+
+def test_thresholds_m2_ghz_stdout_pinned(capsys):
+    assert run_cli(capsys, "thresholds", "--m", "2", "--family", "ghz") == (
+        0, PINNED_THRESHOLDS_M2_GHZ, "")
+
+
 def test_byte_identical_output_and_json_roundtrip(capsys):
     argv = ["run", "--protocol", "pb", "--m", "2", "--family", "ghz",
             "--theta", "0.7", "--mode", "monte_carlo", "--shots", "5000",
@@ -280,6 +409,11 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert json.loads(out)["f_th"] == pytest.approx(0.5, abs=1e-12)
 
 
+def refused(code, out, err):
+    """The one refusal path: exit 2, nothing on stdout, one stderr line starting error: ."""
+    return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_certify_takes_no_angles(tmp_path, capsys):
     # certify reads no target angle: --theta, --phi and their config keys are
     # unknown arguments and exit 2, while --family still reaches the decision
@@ -288,11 +422,8 @@ def test_certify_takes_no_angles(tmp_path, capsys):
     for text, extra in (("", ("--theta", "2")), ("", ("--phi", "9")),
                         ("theta=2\n", ()), ("phi=9\n", ())):
         cfg.write_text(text)
-        with pytest.raises(SystemExit) as exc:
-            main([*certify, *extra, "--config", str(cfg)])
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "unrecognized arguments: --" in err
+        code, out, err = run_cli(capsys, *certify, *extra, "--config", str(cfg))
+        assert refused(code, out, err) and "unrecognized arguments: --" in err
     code, out, _ = run_cli(capsys, *certify, "--family", "ghz", "--m", "2")
     assert code == 0 and json.loads(out)["verdict"] == "issue"
 
@@ -306,10 +437,7 @@ def test_config_entries_parse_as_flags(tmp_path, capsys):
                        (run, "m=two\n"), (certify, "self=ture\n")):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--config", str(cfg)])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        assert refused(*run_cli(capsys, *argv, "--config", str(cfg)))
     # an explicit flag wins over the file, abbreviated or not, before or after --config
     cfg = tmp_path / "certify.cfg"
     cfg.write_text("observed=0.3\n")
@@ -772,18 +900,10 @@ def test_bad_values_exit_2_naming_the_input(tmp_path, capsys, monkeypatch, argv,
 def test_spaced_negative_value_parses_as_its_equals_form(capsys, argv):
     # argparse reads only the likes of -5 and -.5 as numbers on some versions;
     # an exponent or -inf after a flag must still be its value
-    def outcome(args):
-        try:
-            code = main(list(args))
-        except SystemExit as exc:
-            code = exc.code
-        out = capsys.readouterr()
-        return code, out.out, out.err
-
     joined = (*argv[:-2], f"{argv[-2]}={argv[-1]}")
-    assert outcome(argv) == outcome(joined)
+    assert run_cli(capsys, *argv) == run_cli(capsys, *joined)
     if argv[-1] == "-inf":
-        assert outcome(argv) == (2, "", "error: theta must be finite, got -inf\n")
+        assert run_cli(capsys, *argv) == (2, "", "error: theta must be finite, got -inf\n")
 
 
 def test_config_file_naming_another_is_refused(tmp_path, capsys):
@@ -792,6 +912,49 @@ def test_config_file_naming_another_is_refused(tmp_path, capsys):
     cfg.write_text("# chained\nconfig=b.cfg\n")
     assert run_cli(capsys, "run", "--config", str(cfg)) == (
         2, "", f"error: {cfg}:2: a config file cannot name another, got config=b.cfg\n")
+
+
+@pytest.mark.parametrize("argv,config,named", [
+    (("run", "--m", "x"), None, "--m"),
+    ((), None, "command"),
+    (("certify", "--observed", "0.6"), None, "--model"),
+    (("run", "--mode", "exaxt"), None, "exaxt"),
+    (("run", "--bogus", "1"), None, "--bogus 1"),
+    (("run",), "bogus=1\n", "--bogus=1"),
+], ids=["int", "no-subcommand", "required", "choice", "unknown-flag", "unknown-config-key"])
+def test_argparse_rejection_is_one_error_line(tmp_path, capsys, argv, config, named):
+    # argparse's own rejections leave through main like every other refusal: no usage block
+    if config is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        argv = (*argv, "--config", str(cfg))
+    code, out, err = run_cli(capsys, *argv)
+    assert refused(code, out, err) and named in err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("--version",), ("certify", "--help")])
+def test_help_and_version_still_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    if argv == ("--version",):
+        assert out == f"telecert {telecert.__version__}\n"
+        return
+    assert out.startswith("usage: telecert")
+    if argv[0] == "certify":  # the help strings and choices are built from the enums
+        words = " ".join(out.split())
+        for names in ("trivial | ghz | bloch", "honest | cheating_a | cheating_b | cheating_ab",
+                      "pointwise | theta_average | bloch_postselected", "{tabulated,computed}"):
+            assert names in words
+
+
+def test_config_file_not_utf8_names_its_path(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"m=\xff\n")
+    assert run_cli(capsys, "run", "--config", str(cfg)) == (
+        2, "", f"error: {cfg}: 'utf-8' codec can't decode byte 0xff in position 2: "
+        "invalid start byte\n")
 
 
 def test_missing_config_file(capsys):
