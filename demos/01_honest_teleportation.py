@@ -15,8 +15,8 @@ from telecert import (
     build_target,
     exact_report,
     run_exact,
-    to_density,
 )
+from telecert.statevec import to_density
 
 # A single qubit on the Bloch sphere, theta = 2pi/5, phi = 1.2
 params = ProtocolParams(m=1, family=InputFamily.BLOCH, theta=2 * np.pi / 5, phi=1.2)

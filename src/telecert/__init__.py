@@ -12,7 +12,7 @@ from .certify import (
     decide,
     threshold_table,
 )
-from .channels import MeasurementOutcome, RngStream, measure_branches, regenerate_zero, trash
+from .channels import MeasurementOutcome, RngStream, measure_branches
 from .fidelity import (
     BlochAverageReport,
     BranchFidelity,
@@ -29,7 +29,6 @@ from .gates import (
     cnot,
     entanglement_gadget,
     entanglement_gadget_inverse,
-    ghz_rotation,
     hadamard,
     pauli_x,
     pauli_z,
@@ -50,9 +49,7 @@ from .statevec import (
     apply_unitary,
     basis_state,
     expectation,
-    partial_trace,
     tensor,
-    to_density,
 )
 
 # the submodules are bound here by the imports above, but are not star-exported

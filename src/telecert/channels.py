@@ -90,9 +90,7 @@ def _project(state: PureState, qubit: int) -> tuple[np.ndarray, np.ndarray]:
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
     psi = state.amplitudes.reshape([2] * n)
-    sub0 = np.take(psi, 0, axis=qubit).reshape(-1)
-    sub1 = np.take(psi, 1, axis=qubit).reshape(-1)
-    return sub0, sub1
+    return np.take(psi, 0, axis=qubit).reshape(-1), np.take(psi, 1, axis=qubit).reshape(-1)
 
 
 def measure_branches(state: PureState, qubit: int) -> list[MeasurementOutcome]:

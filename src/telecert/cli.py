@@ -42,8 +42,8 @@ F_TH_DEFINITION = "sum over announcements of probability-weighted target overlap
 _NEGATIVE_NUMBER = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
-def _config_tokens(path: str) -> list[str]:
-    """A config file's KEY=VALUE lines as --key=value flags; self=true is --self."""
+def _config_tokens(path: str) -> list[tuple[str, str]]:
+    """A config file's KEY=VALUE lines as (--key=value flag, <path>:<line>); self=true is --self."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -51,20 +51,19 @@ def _config_tokens(path: str) -> list[str]:
         raise ValueError(f"{path}: {exc}") from None
     tokens = []
     for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
+        line, where = raw.strip(), f"{path}:{lineno}"
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
+            raise ValueError(f"{where}: expected KEY=VALUE, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip().lower().replace("_", "-"), value.strip()
         if key == "config":
-            raise ValueError(f"{path}:{lineno}: a config file cannot name another, "
-                             f"got config={value}")
+            raise ValueError(f"{where}: a config file cannot name another, got config={value}")
         if key == "self" and value.lower() in ("0", "false", "no"):
             continue  # --self takes no value; any other one is refused as --self=value
         truthy = key == "self" and value.lower() in ("1", "true", "yes")
-        tokens.append("--self" if truthy else f"--{key}={value}")
+        tokens.append(("--self" if truthy else f"--{key}={value}", where))
     return tokens
 
 
@@ -72,18 +71,23 @@ class _Parser(argparse.ArgumentParser):
     """Rejections raise ValueError, printed by main as one line; subparsers share the class."""
 
     def error(self, message):
-        raise ValueError(message)
+        # argparse quotes a bad value but not an unknown or ambiguous option: escape its breaks
+        raise ValueError("".join(c if c.isprintable() else repr(c)[1:-1] for c in message))
 
 
 def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse argv with the --config file's flags placed right after the subcommand."""
+    """Parse argv with the --config file's flags right after the subcommand, each with its line."""
     config = _Parser(add_help=False)
     config.add_argument("--config", nargs="?")  # a missing value is the full parse's error
     path = config.parse_known_args(argv)[0].config
-    if path:
-        # argv[0] is the subcommand: no top-level option takes a value
-        argv = argv[:1] + _config_tokens(path) + argv[1:]
-    return parser.parse_args(argv)
+    pairs = _config_tokens(path) if path else []
+    # argv[0] is the subcommand: no top-level option takes a value
+    args, extra = parser.parse_known_args(argv[:1] + [t for t, _ in pairs] + argv[1:])
+    if extra:
+        where = dict(reversed(pairs)).get(extra[0])  # the file's flags come first
+        parser.error(f"{where}: unrecognized arguments: {extra[0]}" if where
+                     else f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def _params_from(args) -> ProtocolParams:
@@ -243,8 +247,8 @@ def cmd_enumerate(args) -> dict:
 
 
 def cmd_thresholds(args) -> dict:
-    rows = threshold_table(args.m, InputFamily.parse(args.family))
-    return {"m": args.m, "family": args.family, "thresholds": rows}
+    family = InputFamily.parse(args.family)
+    return {"m": args.m, "family": family.value, "thresholds": threshold_table(args.m, family)}
 
 
 def _choices(enum) -> str:

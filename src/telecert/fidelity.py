@@ -102,8 +102,7 @@ def threshold_fidelity(branches: list[Branch], target: PureState,
 
 
 def exact_report(protocol: ProtocolId, params: ProtocolParams) -> FidelityReport:
-    branches = run_exact(protocol, params)
-    return threshold_fidelity(branches, build_target(params), protocol, params)
+    return threshold_fidelity(run_exact(protocol, params), build_target(params), protocol, params)
 
 
 def _theta_grid(thetas) -> np.ndarray:
@@ -278,9 +277,8 @@ def bloch_average(protocol: ProtocolId, postselect: int | None = None) -> BlochA
         fid = pf[:, group].sum(axis=1) / p_a
         per.append(AnnouncementAverage(a, math.fsum(p[:, group[0]]) / nodes,
                                        math.fsum(fid) / nodes, math.fsum(fid * fid) / nodes))
-    per = tuple(per)
     post = per[postselect].postselected_average if postselect is not None else None
-    return BlochAverageReport(protocol, per, post)
+    return BlochAverageReport(protocol, tuple(per), post)
 
 
 # ---------------------------------------------------------------------------

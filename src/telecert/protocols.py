@@ -17,7 +17,7 @@ next is one row of PROTOCOL_OPS, a short tuple of ops:
     measure(x)   A measures qubit k-1 and announces the outcome as bit x
     trash(j)     A discards j qubits from k-1 on, leaving no record
     coin(x)      A announces a fair random bit x instead of a measured one
-    correct      B applies Z^a X^b to his qubit
+    correct      B applies X^b, then Z^a, to his qubit
     fake         B splits off his qubit and sends |a> in its place
 
 Measurements are destructive (the register shrinks), so A always acts on
@@ -227,16 +227,6 @@ def _with_ebit(psi: PureState) -> PureState:
     return tensor(psi, ebit)
 
 
-def _pauli_power(z_pow: int, x_pow: int) -> np.ndarray:
-    """Z^z X^x as a single 2x2 matrix (X applied first)."""
-    mat = np.eye(2, dtype=complex)
-    if x_pow:
-        mat = gates.pauli_x().entries @ mat
-    if z_pow:
-        mat = gates.pauli_z().entries @ mat
-    return mat
-
-
 def _split(comps: list[PureState], qubit: int) -> list[PureState]:
     """Components after trashing qubit: every 0-slice, then every 1-slice, unnormalized."""
     n = comps[0].num_qubits - 1
@@ -254,9 +244,12 @@ def _apply(op: str, args: list, bits: dict[str, int], comps: list[PureState],
         for _ in range(args[0]):
             comps = _split(comps, k - 1)
         return comps
-    if op == "correct":
-        u = _pauli_power(bits["a"], bits["b"])
-        return [apply_unitary(c, u, [c.num_qubits - 1]) for c in comps]
+    if op == "correct":  # X^b, then Z^a, on B's qubit
+        for gate, bit in ((gates.pauli_x, bits["b"]), (gates.pauli_z, bits["a"])):
+            if bit:
+                u = gate()
+                comps = [apply_unitary(c, u, [c.num_qubits - 1]) for c in comps]
+        return comps
     if op == "fake":
         sent = basis_state(1, bits["a"])
         return [tensor(c, sent) for c in _split(comps, comps[0].num_qubits - 1)]

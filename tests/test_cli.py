@@ -318,6 +318,13 @@ def test_thresholds_m2_ghz_stdout_pinned(capsys):
         0, PINNED_THRESHOLDS_M2_GHZ, "")
 
 
+def test_thresholds_prints_the_family_it_parsed(capsys):
+    # as run and enumerate do: a non-canonical spelling prints the canonical value
+    for family in (" GHZ", "Ghz ", "ghz"):
+        assert run_cli(capsys, "thresholds", "--m", "2", "--family", family) == (
+            0, PINNED_THRESHOLDS_M2_GHZ, "")
+
+
 def test_byte_identical_output_and_json_roundtrip(capsys):
     argv = ["run", "--protocol", "pb", "--m", "2", "--family", "ghz",
             "--theta", "0.7", "--mode", "monte_carlo", "--shots", "5000",
@@ -920,8 +927,10 @@ def test_config_file_naming_another_is_refused(tmp_path, capsys):
     (("certify", "--observed", "0.6"), None, "--model"),
     (("run", "--mode", "exaxt"), None, "exaxt"),
     (("run", "--bogus", "1"), None, "--bogus 1"),
-    (("run",), "bogus=1\n", "--bogus=1"),
-], ids=["int", "no-subcommand", "required", "choice", "unknown-flag", "unknown-config-key"])
+    (("run",), "bogus=1\n", "bad.cfg:1: unrecognized arguments: --bogus=1"),
+    (("run", "--bo\ngus"), None, "--bo\\ngus"),
+], ids=["int", "no-subcommand", "required", "choice", "unknown-flag", "unknown-config-key",
+        "unknown-flag-line-break"])
 def test_argparse_rejection_is_one_error_line(tmp_path, capsys, argv, config, named):
     # argparse's own rejections leave through main like every other refusal: no usage block
     if config is not None:

@@ -11,10 +11,9 @@ PUBLIC_NAMES = [
     "RngStream", "ThresholdSource", "UnitaryMatrix", "apply_unitary",
     "basis_state", "bloch_average", "build_target", "cnot", "decide",
     "entanglement_gadget", "entanglement_gadget_inverse", "exact_report",
-    "expectation", "ghz_rotation", "hadamard", "measure_branches",
-    "monte_carlo_threshold", "partial_trace", "pauli_x", "pauli_z",
-    "regenerate_zero", "run_exact", "run_sampled", "tensor", "theta_average",
-    "theta_sweep", "threshold_fidelity", "threshold_table", "to_density", "trash",
+    "expectation", "hadamard", "measure_branches", "monte_carlo_threshold",
+    "pauli_x", "pauli_z", "run_exact", "run_sampled", "tensor", "theta_average",
+    "theta_sweep", "threshold_fidelity", "threshold_table",
 ]
 
 
