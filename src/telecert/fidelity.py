@@ -304,7 +304,7 @@ def _branch_tally(bits: list[np.ndarray]) -> list[int]:
     all_set = [len(bits[0])]
     for s in masks[1:]:
         chosen = [bit for j, bit in enumerate(bits) if s >> (n - 1 - j) & 1]
-        all_set.append(np.count_nonzero(reduce(np.logical_and, chosen)))
+        all_set.append(int(np.count_nonzero(reduce(np.logical_and, chosen))))
     return [sum((-1) ** bin(s ^ i).count("1") * all_set[s] for s in masks if s & i == i)
             for i in masks]
 
@@ -342,7 +342,7 @@ def monte_carlo_threshold(protocol: ProtocolId, params: ProtocolParams, shots: i
         raise ValueError(f"seed must be >= 0, got {seed}")
 
     table = _trajectory_table(protocol, params)
-    fids = table.fidelities
+    fids = table.fidelities.tolist()  # Python floats, as the tallies are ints
     bits = len(table.thresholds)
     chunks = -(-shots // CHUNK_SHOTS)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

@@ -13,20 +13,20 @@ Every protocol starts the same way: C prepares the logical target on qubits
 0..k-1 and D turns qubits (k, k+1) into the entangled pair. What A and B do
 next is one row of PROTOCOL_OPS, a short tuple of ops:
 
-    bell         A applies the Bell rotation to (k-1, k)
-    measure(x)   A measures qubit k-1 and announces the outcome as bit x
-    trash(j)     A discards j qubits from k-1 on, leaving no record
+    bell         A applies the Bell rotation to her qubits (a, a+1)
+    measure(x)   A measures qubit a and announces the outcome as bit x
+    trash(j)     A discards j qubits from a on, leaving no record
     coin(x)      A announces a fair random bit x instead of a measured one
     correct      B applies X^b, then Z^a, to his qubit
-    fake         B splits off his qubit and sends |a> in its place
+    fake         B discards his qubit and sends |a> in its place
 
-Measurements are destructive (the register shrinks), so A always acts on
-qubit k-1 and B's qubit is always the last one. A branch travels as a list of
-unnormalized pure components whose outer products sum to its state: trashing
-a qubit splits every component into its two slices along that qubit (the
-Kraus picture of the partial trace), so only a trash or a fake adds
-components, and the table never measures after one. Each branch output is
-built once, over C's logical ancilla and the qubit B delivers, and a branch
+A branch travels as one pure state. A discarded qubit moves to the front of
+the register and stays there untouched, the environment that purifies the
+partial trace (Nielsen & Chuang, section 8.2), so a row may measure after a
+discard. Measurements are destructive (the register shrinks), so A's first
+qubit is a = d + k - 1 once d qubits are discarded, and B's qubit is always
+the last one. Each branch output, on C's logical ancilla and the qubit B
+delivers, is built once as the trace over the d leading qubits, and a branch
 holds only that logical output, never a dense m-qubit form. Outputs are
 normalized; the sub-normalized operator is probability * logical. B's fake
 commutes with A's operations (disjoint registers), so running it after A's,
@@ -75,7 +75,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import gates
-from .channels import RngStream, _project, measure_branches
+from .channels import RngStream, measure_branches
 from .statevec import (
     ATOL_CONSTRUCT,
     DensityOperator,
@@ -227,82 +227,78 @@ def _with_ebit(psi: PureState) -> PureState:
     return tensor(psi, ebit)
 
 
-def _split(comps: list[PureState], qubit: int) -> list[PureState]:
-    """Components after trashing qubit: every 0-slice, then every 1-slice, unnormalized."""
-    n = comps[0].num_qubits - 1
-    slices = [_project(c, qubit) for c in comps]
-    return [PureState(n, s[bit]) for bit in (0, 1) for s in slices]
+def _discard(state: PureState, qubit: int) -> PureState:
+    """state with qubit moved to the front, where discarded qubits stay untouched."""
+    n = state.num_qubits
+    return PureState(n, np.moveaxis(state.amplitudes.reshape([2] * n), qubit, 0).reshape(-1))
 
 
-def _apply(op: str, args: list, bits: dict[str, int], comps: list[PureState],
-           k: int) -> list[PureState]:
-    """One op that announces nothing, on the components of a live branch."""
+def _apply(op: str, args: list, bits: dict[str, int], state: PureState, a: int) -> PureState:
+    """One op that announces nothing, on the state of a live branch; A acts on qubit a."""
     if op == "bell":
-        u = gates.entanglement_gadget_inverse()
-        return [apply_unitary(c, u, [k - 1, k]) for c in comps]
-    if op == "trash":
-        for _ in range(args[0]):
-            comps = _split(comps, k - 1)
-        return comps
+        return apply_unitary(state, gates.entanglement_gadget_inverse(), [a, a + 1])
+    if op == "trash":  # each discard leaves A's next qubit at a + 1, a + 2, ...
+        for i in range(args[0]):
+            state = _discard(state, a + i)
+        return state
     if op == "correct":  # X^b, then Z^a, on B's qubit
         for gate, bit in ((gates.pauli_x, bits["b"]), (gates.pauli_z, bits["a"])):
             if bit:
-                u = gate()
-                comps = [apply_unitary(c, u, [c.num_qubits - 1]) for c in comps]
-        return comps
+                state = apply_unitary(state, gate(), [state.num_qubits - 1])
+        return state
     if op == "fake":
-        sent = basis_state(1, bits["a"])
-        return [tensor(c, sent) for c in _split(comps, comps[0].num_qubits - 1)]
+        return tensor(_discard(state, state.num_qubits - 1), basis_state(1, bits["a"]))
     raise ValueError(f"unknown op {op!r}")
 
 
-def _outcomes(op: str, comps: list[PureState] | None, qubit: int) -> list[tuple]:
-    """(bit, conditional probability, post components) for both outcomes of an announcing op."""
+def _outcomes(op: str, state: PureState | None, qubit: int) -> list[tuple]:
+    """(bit, conditional probability, post state) for both outcomes of an announcing op."""
     if op == "coin":
-        return [(0, 0.5, comps), (1, 0.5, comps)]
-    if comps is None:
+        return [(0, 0.5, state), (1, 0.5, state)]
+    if state is None:
         return [(0, 0.0, None), (1, 0.0, None)]
-    [state] = comps  # no row measures after a trash
-    return [(o.bit, o.probability, None if o.post_state is None else [o.post_state])
-            for o in measure_branches(state, qubit)]
+    return [(o.bit, o.probability, o.post_state) for o in measure_branches(state, qubit)]
 
 
-def _run(protocol: ProtocolId, psi: PureState) -> list[tuple[dict[str, int], float, list | None]]:
+def _run(protocol: ProtocolId, psi: PureState
+         ) -> list[tuple[dict[str, int], float, PureState | None]]:
     """Run PROTOCOL_OPS[protocol] on the k-qubit logical target psi.
 
-    Returns (bits, probability, components) branches in draw order (each
-    announcing op splits every branch into its 0 then its 1 outcome);
-    components is None on a zero-probability branch and stays None below it.
+    Returns (bits, probability, state) branches in draw order (each
+    announcing op splits every branch into its 0 then its 1 outcome). A state
+    holds the d discarded qubits, latest first, before the k output qubits;
+    it is None on a zero-probability branch and stays None below it.
     """
-    k = psi.num_qubits
-    branches = [({}, 1.0, [_with_ebit(psi)])]
+    a = psi.num_qubits - 1  # A's first qubit, one up for each qubit discarded before it
+    branches = [({}, 1.0, _with_ebit(psi))]
     for op, *args in PROTOCOL_OPS[protocol]:
         if op in ANNOUNCING:
             branches = [({**bits, args[0]: bit}, p * q, post)
-                        for bits, p, comps in branches
-                        for bit, q, post in _outcomes(op, comps, k - 1)]
+                        for bits, p, state in branches
+                        for bit, q, post in _outcomes(op, state, a)]
         else:
-            branches = [(bits, p, None if comps is None else _apply(op, args, bits, comps, k))
-                        for bits, p, comps in branches]
+            branches = [(bits, p, None if state is None else _apply(op, args, bits, state, a))
+                        for bits, p, state in branches]
+            a += args[0] if op == "trash" else op == "fake"
     return branches
 
 
-def _density(comps: list[PureState]) -> np.ndarray:
-    """Sum of |c><c| over components, halves first: the order of successive partial traces."""
-    if len(comps) == 1:
-        v = comps[0].amplitudes
-        return np.outer(v, v.conj())
-    half = len(comps) // 2
-    rho = _density(comps[:half])
-    rho += _density(comps[half:])
+def _density(rows: np.ndarray) -> np.ndarray:
+    """Sum of |r><r| over rows, halves first: the order of successive partial traces."""
+    if len(rows) == 1:
+        return np.outer(rows[0], rows[0].conj())
+    half = len(rows) // 2
+    rho = _density(rows[:half])
+    rho += _density(rows[half:])
     return rho
 
 
 def _branches(protocol: ProtocolId, psi: PureState) -> list[Branch]:
-    """_run's branches on psi, in draw order."""
-    return [Branch(Announcement(bits["a"], bits.get("b")), p,
-                   None if comps is None else DensityOperator(comps[0].num_qubits, _density(comps)))
-            for bits, p, comps in _run(protocol, psi)]
+    """_run's branches on psi, in draw order, each output the trace over its d discarded qubits."""
+    k = psi.num_qubits
+    return [Branch(Announcement(bits["a"], bits.get("b")), p, None if state is None
+                   else DensityOperator(k, _density(state.amplitudes.reshape(-1, 2**k))))
+            for bits, p, state in _run(protocol, psi)]
 
 
 def run_exact(protocol: ProtocolId, params: ProtocolParams) -> list[Branch]:

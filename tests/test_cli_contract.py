@@ -17,8 +17,6 @@ import io
 import json
 import re
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,6 +118,9 @@ def _check_stdout(out: str, fmt: str) -> None:
         assert reader.fieldnames == list(rows[0])
     else:
         assert all(TABLE_LINE.fullmatch(line) for line in out.splitlines()), out
+        for line in out.splitlines():
+            if " = " in line:
+                ast.literal_eval(line.split(" = ", 1)[1])  # a Python literal, no np.float64(...)
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
@@ -139,14 +140,9 @@ def test_every_command_line_succeeds_or_is_refused_in_one_line(tmp_path_factory,
         _check_stdout(out, _parse(build_parser(), argv).format)
 
 
-@pytest.mark.xfail(np.lib.NumpyVersion(np.__version__) >= "2.0.0", strict=True,
-                   reason="Monte Carlo per-branch frequencies are numpy floats, which "
-                          "--format table prints as np.float64(...) from numpy 2 on")
 def test_table_values_are_python_literals():
     argv = ["run", "--protocol", "pb", "--m", "2", "--family", "ghz", "--theta", "0.7",
             "--mode", "monte_carlo", "--shots", "1000", "--seed", "7", "--format", "table"]
     code, out, _ = _run(argv)
     assert code == 0
-    for line in out.splitlines():
-        if " = " in line:
-            ast.literal_eval(line.split(" = ", 1)[1])
+    _check_stdout(out, "table")

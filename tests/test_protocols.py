@@ -269,6 +269,35 @@ def _zero_padded(block, m):
     return full
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("theta", [0.0, 0.7, math.pi / 2, 2.4, math.pi])
+def test_a_row_that_measures_after_a_trash_runs(monkeypatch, m, theta):
+    """A discards her share, then measures her half of the pair: B receives |a xor b>.
+
+    Only run_exact runs the patched row; _branch_maps would cache it.
+    """
+    monkeypatch.setitem(PROTOCOL_OPS, ProtocolId.PA1,
+                        (("trash", 1), ("measure", "a"), ("coin", "b"), ("correct",)))
+    branches = run_exact(ProtocolId.PA1, ghz(m, theta))
+    n, c, s = m + 2, math.cos(theta / 2) ** 2, math.sin(theta / 2) ** 2
+    rho = oracle.initial_density(m, "ghz", theta, 0.0)
+    assert [(br.announcement.a, br.announcement.b) for br in branches] == \
+        [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for br in branches:
+        a, b = br.announcement.a, br.announcement.b
+        assert br.probability == pytest.approx(0.25, abs=1e-12)
+        np.testing.assert_allclose(br.logical.matrix,
+                                   np.kron(np.diag([c, s]), np.diag([1 - (a ^ b), a ^ b])),
+                                   atol=1e-12)
+        proj = oracle.projector(m, a, n)  # A's half of the pair
+        fix = oracle.kron_at(oracle.Z2, n - 1, n) if a else np.eye(2**n)
+        fix = fix @ (oracle.kron_at(oracle.X2, n - 1, n) if b else np.eye(2**n))
+        r = 0.5 * fix @ proj @ rho @ proj @ fix.conj().T
+        want = oracle.ptrace_keep(r, list(range(m - 1)) + [n - 1], n)
+        np.testing.assert_allclose(_zero_padded(br.probability * br.logical.matrix, m), want,
+                                   atol=1e-12)
+
+
 def _pauli_conjugate(rho, z_pow, x_pow):
     """U rho U^dagger for U = Z^z X^x on the last qubit of a density matrix."""
     u = np.linalg.matrix_power(np.diag([1, -1]), z_pow) @ \
